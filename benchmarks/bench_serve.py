@@ -19,7 +19,8 @@ Three sections:
 
 ``python benchmarks/bench_serve.py`` writes ``BENCH_serve.json`` at the
 repo root; ``--smoke`` runs smaller row counts with the same assertions
-(the CI gate).
+(the CI gate) and writes ``BENCH_serve.smoke.json`` instead, so a smoke
+run never overwrites the full-mode record.
 """
 
 import argparse
@@ -203,7 +204,8 @@ def main() -> int:
     args = parser.parse_args()
     mode = "smoke" if args.smoke else "full"
     report = run(mode)
-    out = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+    name = "BENCH_serve.smoke.json" if args.smoke else "BENCH_serve.json"
+    out = Path(__file__).resolve().parent.parent / name
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

@@ -28,7 +28,8 @@ and writes ``BENCH_sharded.json`` at the repo root; ``--smoke`` runs the
 identity gates (demo workload across chunkings, pipelined vs sequential
 across worker counts plus one real dataset, all nine eval datasets
 sharded vs in-memory) plus a small three-phase run, same assertions on
-identity, and writes the same artifact (the CI gate).
+identity, and writes ``BENCH_sharded.smoke.json`` (the CI gate), so a
+smoke run never overwrites the full-mode record.
 """
 
 import argparse
@@ -561,7 +562,7 @@ def main() -> int:
         return 0
     mode = "smoke" if args.smoke else "full"
     report = run(mode)
-    out = REPO_ROOT / "BENCH_sharded.json"
+    out = REPO_ROOT / ("BENCH_sharded.smoke.json" if args.smoke else "BENCH_sharded.json")
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

@@ -15,36 +15,35 @@ Commands
     compiled :class:`~repro.serve.FeaturePlan` JSON (or saves it into a
     plan registry); ``apply`` replays a plan over fresh CSV rows with no
     FM client in the loop.
+
+Each command imports what it needs when it runs, so ``plan apply``
+loads only :mod:`repro.dataframe` and :mod:`repro.serve` — not the FM,
+search, evaluation or dataset layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from repro.core import SmartFeat
-from repro.core.pipeline import resolve_executor
-from repro.datasets import DATASET_NAMES, list_datasets, load_dataset
-from repro.eval import (
-    SweepConfig,
-    render_auc_table,
-    render_schedule,
-    render_sweep_summary,
-    render_table,
-    run_sweep,
-)
-from repro.eval.harness import evaluate_models
-from repro.fm import (
-    Budget,
-    FMBudgetExceededError,
-    FMCache,
-    HedgePolicy,
-    SimulatedFM,
-    live_provider_configured,
-    provider_from_env,
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fm import Budget
 
 __all__ = ["build_parser", "main"]
+
+_SOURCE_HELP = "built-in dataset name (see `repro datasets`) or a CSV path"
+
+
+def _dataset_name(value: str) -> str:
+    """argparse type of ``compare``'s argument: a built-in dataset name."""
+    from repro.datasets import DATASET_NAMES
+
+    if value not in DATASET_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(DATASET_NAMES)})"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("datasets", help="list the built-in evaluation datasets")
 
     run = sub.add_parser("run", help="run SMARTFEAT on a dataset or CSV")
-    run.add_argument("source", help=f"dataset name ({', '.join(DATASET_NAMES)}) or a CSV path")
+    run.add_argument("source", help=_SOURCE_HELP)
     run.add_argument("--target", help="target column (required for CSV sources)")
     run.add_argument("--rows", type=int, default=800, help="row cap for built-in datasets")
     run.add_argument("--model", default="random_forest", help="downstream model name")
@@ -140,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(run)
 
     compare = sub.add_parser("compare", help="compare methods on a built-in dataset")
-    compare.add_argument("dataset", choices=DATASET_NAMES)
+    compare.add_argument(
+        "dataset", type=_dataset_name, help="built-in dataset name (see `repro datasets`)"
+    )
     compare.add_argument("--rows", type=int, default=900)
     compare.add_argument("--models", default="lr,nb,rf", help="comma-separated model names")
     compare.add_argument("--seed", type=int, default=0)
@@ -159,9 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     export = plan_sub.add_parser(
         "export", help="fit SMARTFEAT and write the compiled plan JSON"
     )
-    export.add_argument(
-        "source", help=f"dataset name ({', '.join(DATASET_NAMES)}) or a CSV path"
-    )
+    export.add_argument("source", help=_SOURCE_HELP)
     export.add_argument("--target", help="target column (required for CSV sources)")
     export.add_argument("--rows", type=int, default=400, help="row cap for built-in datasets")
     export.add_argument("--seed", type=int, default=0)
@@ -282,12 +281,17 @@ def _add_budget_flags(parser: argparse.ArgumentParser, per_cell: bool = False) -
 
 
 def _budget_from_args(args) -> Budget | None:
+    from repro.fm import Budget
+
     if args.max_cost is None and args.max_fm_calls is None:
         return None
     return Budget(max_cost_usd=args.max_cost, max_calls=args.max_fm_calls)
 
 
 def _cmd_datasets() -> int:
+    from repro.datasets import list_datasets
+    from repro.eval import render_table
+
     rows = [
         [s.name, str(s.n_categorical), str(s.n_numeric), str(s.n_rows), s.field, s.target]
         for s in list_datasets()
@@ -297,6 +301,8 @@ def _cmd_datasets() -> int:
 
 
 def _load_source(args) -> tuple:
+    from repro.datasets import DATASET_NAMES, load_dataset
+
     if args.source in DATASET_NAMES:
         bundle = load_dataset(args.source, seed=args.seed, n_rows=args.rows)
         return (
@@ -321,6 +327,8 @@ def _make_clients(args) -> tuple:
     environment opts in (``SMARTFEAT_PROVIDER`` + ``SMARTFEAT_API_KEY``),
     the seeded simulator otherwise.  CI never sets the variables, so the
     live path is never exercised there."""
+    from repro.fm import SimulatedFM, live_provider_configured, provider_from_env
+
     if live_provider_configured():
         fm = provider_from_env()
         function_fm = provider_from_env()
@@ -337,6 +345,12 @@ def _make_clients(args) -> tuple:
 
 
 def _cmd_run(args) -> int:
+    from repro.core import SmartFeat
+    from repro.core.pipeline import resolve_executor
+    from repro.eval import render_schedule
+    from repro.eval.harness import evaluate_models
+    from repro.fm import FMBudgetExceededError, FMCache, HedgePolicy
+
     frame, target, descriptions, title, target_description = _load_source(args)
     if args.concurrency is not None and args.concurrency < 1:
         raise SystemExit("--concurrency must be >= 1")
@@ -435,6 +449,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.eval import SweepConfig, render_auc_table, render_sweep_summary, run_sweep
+
     if args.sweep_concurrency < 1:
         raise SystemExit("--sweep-concurrency must be >= 1")
     if args.plan_budget and _budget_from_args(args) is None:
@@ -463,6 +479,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_plan_export(args) -> int:
+    from repro.core import SmartFeat
+    from repro.datasets import DATASET_NAMES
     from repro.serve import PlanRegistry
 
     if not args.out and not args.registry:

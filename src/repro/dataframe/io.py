@@ -1,5 +1,24 @@
 """CSV input/output and the row-shard substrate for out-of-core execution.
 
+The CSV codec works a column at a time:
+
+* :func:`to_csv` renders each column of a bounded row block with one
+  ``ndarray.tolist()`` (NaN and ``None`` become empty cells, numpy
+  scalars in object columns are unboxed) and hands the columns to
+  ``csv.writer.writerows(zip(...))``: no per-row Python objects and no
+  per-cell method calls.
+* :func:`read_csv`, :func:`read_csv_shards` and :func:`scan_csv_kinds`
+  share one column-block decoder.  It parses bounded row blocks, never
+  the whole file at once, and classifies each column of a block while
+  decoding it: an all-int column becomes ``int64`` and an
+  all-float-or-empty column becomes ``float64`` directly (one regex over
+  the joined column validates the strict grammar, then one C-level
+  conversion); every other column parses its distinct cells with
+  :func:`_parse_cell`.  A block's kind merges into the whole-file kind
+  under Series list-coercion rules (``kernels._classify``), so the
+  decoded frame is bit-identical to building ``Series`` from per-cell
+  parses.
+
 Besides the one-shot :func:`read_csv`/:func:`to_csv` pair, this module
 provides the streaming primitives the sharded fit/serve paths build on:
 
@@ -21,13 +40,13 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.kernels import is_missing_scalar
 from repro.dataframe.series import Series
 
 __all__ = [
@@ -52,6 +71,22 @@ _INT_CELL = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_CELL = re.compile(
     r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z"
 )
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+#: The same grammar over a whole column joined with ``"\n"``.  Bare
+#: integers are capped at 18 digits, which always fit int64; a longer one
+#: sends the column to the per-cell path, where :func:`_parse_cell`
+#: checks the exact range.
+_INT_RUN = re.compile(r"[+-]?[0-9]{1,18}+(?:\n[+-]?[0-9]{1,18}+)*+")
+_NUM = (
+    r"[+-]?(?:[0-9]++\.[0-9]*+(?:[eE][+-]?[0-9]++)?|\.[0-9]++(?:[eE][+-]?[0-9]++)?"
+    r"|[0-9]++[eE][+-]?[0-9]++|[0-9]{1,18}+)"
+)
+_NUM_OR_EMPTY_RUN = re.compile(rf"(?:{_NUM})?+(?:\n(?:{_NUM})?+)*+")
+
+#: Rows per codec block: bounds the raw cells ``read_csv`` and
+#: ``scan_csv_kinds`` hold at once, and the rendered cells ``to_csv`` does.
+_BLOCK_ROWS = 1 << 14
 
 
 def _parse_cell(text: str):
@@ -59,13 +94,15 @@ def _parse_cell(text: str):
 
     Numeric parsing follows the strict grammar above; ``"True"`` and
     ``"False"`` (exactly — the spelling :func:`to_csv` writes) parse as
-    booleans so boolean columns survive a CSV round trip.  Everything
-    else is kept verbatim as a string.
+    booleans so boolean columns survive a CSV round trip.  An integer
+    outside int64 keeps its verbatim text (no numeric column can hold it
+    exactly).  Everything else is kept verbatim as a string.
     """
     if text == "":
         return None
     if _INT_CELL.match(text):
-        return int(text)
+        value = int(text)
+        return value if _INT64_MIN <= value <= _INT64_MAX else text
     if _FLOAT_CELL.match(text):
         return float(text)
     if text == "True":
@@ -75,21 +112,221 @@ def _parse_cell(text: str):
     return text
 
 
+# ----------------------------------------------------------------------
+# Column kinds
+# ----------------------------------------------------------------------
+# A column's kind is a bitmask of what its cells hold; OR-ing the masks
+# of two blocks gives the mask of their union, and :func:`_kind_name`
+# maps a mask to the dtype Series list coercion would pick.
+_MISSING, _PRESENT, _NONBOOL, _FLOATY, _OBJECT = 1, 2, 4, 8, 16
+_INT_MASK = _PRESENT | _NONBOOL
+_FLOAT_MASK = _PRESENT | _NONBOOL | _FLOATY
+
+
+def _kind_name(mask: int) -> str:
+    """``"object"`` (any string cell), ``"empty"`` (no present values),
+    ``"bool"``/``"bool_missing"`` (all-boolean, without/with missing
+    cells), ``"float"`` (numeric with any float or missing cell) or
+    ``"int"``."""
+    if mask & _OBJECT:
+        return "object"
+    if not mask & _PRESENT:
+        return "empty"
+    if not mask & _NONBOOL:
+        return "bool_missing" if mask & _MISSING else "bool"
+    if mask & (_FLOATY | _MISSING):
+        return "float"
+    return "int"
+
+
+def _mask_of(values: Iterable) -> int:
+    """Kind mask of parsed cells (None, bool, int, float or str)."""
+    mask = 0
+    for value in values:
+        if value is None:
+            mask |= _MISSING
+        elif value is True or value is False:
+            mask |= _PRESENT
+        elif type(value) is int:
+            mask |= _INT_MASK
+        elif type(value) is float:
+            mask |= _FLOAT_MASK
+        else:
+            return _OBJECT
+    return mask
+
+
+def _object_array(values: list) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _build(values: list, kind: str) -> np.ndarray:
+    """Parsed cells → the array Series list coercion builds for *kind*."""
+    if kind == "int":
+        return np.array(values, dtype=np.int64)
+    if kind == "float":
+        return np.array(values, dtype=np.float64)  # None → NaN
+    if kind == "bool":
+        return np.array(values, dtype=bool)
+    return _object_array(values)  # object / bool_missing / empty: None stays
+
+
+def _as_kind(values: np.ndarray, kind: str) -> np.ndarray:
+    """Widen one decoded block to a whole-file *kind* that is not object.
+
+    Each conversion equals what list coercion does to the block's parsed
+    cells: ints and bools widen to float, booleans to int, and booleans
+    join missing cells as Python bools.  A numeric block cannot widen to
+    object this way (an int-form cell of a float block is an int there),
+    so callers re-parse such blocks with :func:`_parsed_cells`.
+    """
+    if values.dtype == object:  # empty / bool_missing / object blocks
+        return np.array(values.tolist(), dtype=np.float64) if kind == "float" else values
+    if kind == "float":
+        return values.astype(np.float64, copy=False)
+    if kind == "int":
+        return values.astype(np.int64, copy=False)
+    if kind == "bool_missing":
+        return values.astype(object)  # Python bools
+    return values
+
+
+# ----------------------------------------------------------------------
+# Column-block decoder
+# ----------------------------------------------------------------------
+def _classify_column(cells: tuple) -> tuple[int, dict | None]:
+    """``(kind mask, parsed distinct cells)`` of one block column.
+
+    The two numeric fast paths validate the whole column with one regex
+    and return no parse table; every other column parses each distinct
+    cell once.
+    """
+    text = "\n".join(cells)
+    if text.count("\n") == len(cells) - 1:  # no cell holds a newline
+        if _INT_RUN.fullmatch(text):
+            return _INT_MASK, None
+        if _NUM_OR_EMPTY_RUN.fullmatch(text):
+            if len(text) == len(cells) - 1:  # every cell empty
+                return _MISSING, None
+            return _FLOAT_MASK | (_MISSING if "" in cells else 0), None
+    parsed = {cell: _parse_cell(cell) for cell in set(cells)}
+    return _mask_of(parsed.values()), parsed
+
+
+def _parsed_cells(cells: tuple) -> np.ndarray:
+    """Object array of every cell's :func:`_parse_cell` value."""
+    parsed = {cell: _parse_cell(cell) for cell in set(cells)}
+    return _object_array(list(map(parsed.__getitem__, cells)))
+
+
+def _decode_column(cells: tuple) -> tuple[int, np.ndarray]:
+    """One block column → ``(kind mask, array of the block's own kind)``."""
+    mask, parsed = _classify_column(cells)
+    if parsed is not None:
+        return mask, _build(list(map(parsed.__getitem__, cells)), _kind_name(mask))
+    if mask == _INT_MASK:
+        return mask, np.array(list(map(int, cells)), dtype=np.int64)
+    if mask == _MISSING:
+        return mask, np.full(len(cells), None, dtype=object)
+    out = np.array([float(cell) if cell else np.nan for cell in cells])
+    # An int-form "-0" is the int 0, which widens to +0.0, not -0.0.
+    for i in np.flatnonzero((out == 0) & np.signbit(out)):
+        if _INT_CELL.match(cells[i]):
+            out[i] = 0.0
+    return mask, out
+
+
+def _read_header(reader) -> list[str] | None:
+    """The header row (None for an empty file); duplicate names raise."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        return None
+    positions: dict[str, list[int]] = {}
+    for i, name in enumerate(header):
+        positions.setdefault(name, []).append(i)
+    duplicated = [f"{name!r} at positions {at}" for name, at in positions.items() if len(at) > 1]
+    if duplicated:
+        raise ValueError(f"duplicate CSV column name(s): {'; '.join(duplicated)}")
+    return header
+
+
+def _column_blocks(reader, width: int, block_rows: int) -> Iterator[list[tuple]]:
+    """Consecutive blocks of ≤ *block_rows* rows, each as *width* column
+    tuples of cell text.  A short row reads as empty trailing cells and
+    cells beyond the header are dropped."""
+    while True:
+        rows = list(islice(reader, block_rows))
+        if not rows:
+            return
+        if set(map(len, rows)) != {width}:
+            rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+        yield list(zip(*rows))
+
+
+def _frame(header: list[str], arrays: Iterable[np.ndarray]) -> DataFrame:
+    out = DataFrame()
+    for name, values in zip(header, arrays):
+        out._columns[name] = Series._from_array(values, name)
+    return out
+
+
 def read_csv(path: str | Path) -> DataFrame:
     """Read a headered CSV file into a :class:`DataFrame` with inferred dtypes."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = _read_header(reader)
+        if header is None:
             return DataFrame()
-        data: dict[str, list] = {name: [] for name in header}
-        for row in reader:
-            for name, cell in zip(header, row):
-                data[name].append(_parse_cell(cell))
-            for name in header[len(row):]:
-                data[name].append(None)
-    return DataFrame(data)
+        masks = [0] * len(header)
+        parts: list[list[np.ndarray]] = [[] for _ in header]
+        for columns in _column_blocks(reader, len(header), _BLOCK_ROWS):
+            for i, cells in enumerate(columns):
+                mask, values = _decode_column(cells)
+                masks[i] |= mask
+                parts[i].append(values)
+    redo = {
+        i
+        for i, mask in enumerate(masks)
+        if mask & _OBJECT and any(block.dtype != object for block in parts[i])
+    }
+    if redo:  # numeric blocks of an object column: parse their cells again
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            for b, columns in enumerate(_column_blocks(reader, len(header), _BLOCK_ROWS)):
+                for i in redo:
+                    if parts[i][b].dtype != object:
+                        parts[i][b] = _parsed_cells(columns[i])
+    arrays = []
+    for mask, blocks in zip(masks, parts):
+        if not blocks:  # header-only file
+            arrays.append(np.empty(0, dtype=object))
+        elif len(blocks) == 1:
+            arrays.append(blocks[0])
+        else:
+            kind = _kind_name(mask)
+            arrays.append(np.concatenate([_as_kind(block, kind) for block in blocks]))
+    return _frame(header, arrays)
+
+
+def _render(values: np.ndarray) -> list:
+    """One column as csv.writer cells: Python scalars, missing → ``""``."""
+    kind = values.dtype.kind
+    if kind in "iub":
+        return values.tolist()
+    if kind in "fc":
+        missing = np.isnan(values)
+        if missing.any():
+            values = values.astype(object)
+            values[missing] = ""
+        return values.tolist()
+    cells = values.tolist()
+    if any(issubclass(t, np.generic) for t in set(map(type, cells))):
+        cells = [value.item() if isinstance(value, np.generic) else value for value in cells]
+    return ["" if value is None or value != value else value for value in cells]
 
 
 def to_csv(
@@ -106,14 +343,14 @@ def to_csv(
     (first shard ``append=False``, the rest ``append=True``).
     """
     write_header = (not append) if header is None else header
+    arrays = [frame[name].values for name in frame.columns]
     with open(path, "a" if append else "w", newline="") as handle:
         writer = csv.writer(handle)
         if write_header:
             writer.writerow(frame.columns)
-        for _, row in frame.iterrows():
-            writer.writerow(
-                ["" if value is None or value != value else value for value in row.to_dict().values()]
-            )
+        for start in range(0, len(frame), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            writer.writerows(zip(*[_render(values[block]) for values in arrays]))
 
 
 # ----------------------------------------------------------------------
@@ -170,72 +407,21 @@ def scan_csv_kinds(path: str | Path) -> dict[str, str]:
     None/bool path), ``"int"``, ``"float"`` (numeric with any float or
     missing cell), ``"object"`` (any string cell), or ``"empty"`` (no
     present values).  Feeding the result to :func:`read_csv_shards` pins
-    every shard to the whole-file dtypes.  The parser's strict grammar
-    guarantees cells are never non-finite floats, so a parsed cell is
-    exactly one of None/bool/int/float/str.
+    every shard to the whole-file dtypes.  The scan classifies blocks
+    with the decoder :func:`read_csv` uses, skipping columns a string
+    cell has already made ``"object"``.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = _read_header(reader)
+        if header is None:
             return {}
-        n = len(header)
-        forced = [False] * n  # a string cell forces the object path
-        missing = [False] * n
-        present = [False] * n
-        floaty = [False] * n
-        nonbool = [False] * n
-        for row in reader:
-            for i in range(n):
-                if forced[i]:
-                    continue
-                cell = _parse_cell(row[i]) if i < len(row) else None
-                if cell is None:
-                    missing[i] = True
-                elif isinstance(cell, bool):
-                    present[i] = True
-                elif isinstance(cell, int):
-                    present[i] = True
-                    nonbool[i] = True
-                elif isinstance(cell, float):
-                    present[i] = True
-                    floaty[i] = True
-                    nonbool[i] = True
-                else:
-                    forced[i] = True
-    kinds = {}
-    for i, name in enumerate(header):
-        if forced[i]:
-            kinds[name] = "object"
-        elif not present[i]:
-            kinds[name] = "empty"
-        elif not nonbool[i]:
-            kinds[name] = "bool_missing" if missing[i] else "bool"
-        elif floaty[i] or missing[i]:
-            kinds[name] = "float"
-        else:
-            kinds[name] = "int"
-    return kinds
-
-
-def _coerce_kind(values: list, kind: str) -> Series:
-    """Coerce one shard's cell values to a whole-file column kind."""
-    if kind == "float":
-        return Series._from_array(np.array(values, dtype=np.float64))
-    if kind == "int":
-        return Series._from_array(np.array(values, dtype=np.int64))
-    if kind == "bool":
-        return Series._from_array(np.array([bool(v) for v in values], dtype=bool))
-    if kind == "bool_missing":
-        arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            arr[i] = None if is_missing_scalar(v) else bool(v)
-        return Series._from_array(arr)
-    arr = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        arr[i] = None if is_missing_scalar(v) else v
-    return Series._from_array(arr)
+        masks = [0] * len(header)
+        for columns in _column_blocks(reader, len(header), _BLOCK_ROWS):
+            for i, cells in enumerate(columns):
+                if not masks[i] & _OBJECT:
+                    masks[i] |= _classify_column(cells)[0]
+    return {name: _kind_name(mask) for name, mask in zip(header, masks)}
 
 
 def read_csv_shards(
@@ -256,36 +442,22 @@ def read_csv_shards(
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = _read_header(reader)
+        if header is None:
             return
-        buffers: list[list] = [[] for _ in header]
-        index = 0
         start = 0
-        for row in reader:
-            for i, name in enumerate(header):
-                buffers[i].append(_parse_cell(row[i]) if i < len(row) else None)
-            if len(buffers[0]) >= chunk_rows:
-                yield Shard(_csv_shard_frame(header, buffers, schema), index, start)
-                start += len(buffers[0])
-                index += 1
-                buffers = [[] for _ in header]
-        if buffers and buffers[0]:
-            yield Shard(_csv_shard_frame(header, buffers, schema), index, start)
-
-
-def _csv_shard_frame(
-    header: list[str], buffers: list[list], schema: dict[str, str] | None
-) -> DataFrame:
-    if schema is None:
-        return DataFrame({name: cells for name, cells in zip(header, buffers)})
-    out = DataFrame()
-    for name, cells in zip(header, buffers):
-        series = _coerce_kind(cells, schema.get(name, "object"))
-        series.name = name
-        out._columns[name] = series
-    return out
+        for index, columns in enumerate(_column_blocks(reader, len(header), chunk_rows)):
+            arrays = []
+            for name, cells in zip(header, columns):
+                kind = None if schema is None else schema.get(name, "object")
+                if kind in ("object", "empty"):
+                    arrays.append(_parsed_cells(cells))
+                    continue
+                values = _decode_column(cells)[1]
+                arrays.append(values if kind is None else _as_kind(values, kind))
+            shard = Shard(_frame(header, arrays), index, start)
+            start += len(shard)
+            yield shard
 
 
 # ----------------------------------------------------------------------

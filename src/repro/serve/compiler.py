@@ -37,8 +37,6 @@ from repro.dataframe.expr import (
 )
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
-from repro.fm.codegen import generate_transform_expr, parse_op_tag
-from repro.fm.knowledge import default_knowledge
 from repro.serve.plan import FeaturePlan, FeatureSpec, column_kind
 
 __all__ = ["compile_plan", "frames_identical", "series_identical"]
@@ -279,6 +277,8 @@ def _row_level_template(feature, rebuild: DataFrame, expected: dict[str, Series]
 
 
 def _template_for(feature, rebuild: DataFrame, expected, knowledge) -> dict | None:
+    from repro.fm.codegen import generate_transform_expr, parse_op_tag
+
     if feature.source_code == _ROW_LEVEL_SENTINEL:
         return _row_level_template(feature, rebuild, expected)
     op, _ = parse_op_tag(feature.description)
@@ -351,6 +351,8 @@ def compile_plan(
     rebuild starts from it, so the compiler needs the original columns the
     fitted result may have dropped.
     """
+    from repro.fm.knowledge import default_knowledge
+
     knowledge = knowledge if knowledge is not None else default_knowledge()
     input_columns = frame.columns
     input_schema = [

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING
 
-from repro.core.shard_pipeline import PipelineStats
 from repro.dataframe.frame import DataFrame
 from repro.serve.plan import FeaturePlan, PlanError
 from repro.serve.registry import PlanRegistry
@@ -42,6 +42,9 @@ from repro.serve.resilience import (
     ValidationLimits,
     validate_rows,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.shard_pipeline import PipelineStats
 
 __all__ = ["FeatureServer", "ServeReport"]
 
@@ -250,7 +253,7 @@ class FeatureServer:
             for rows in produce():
                 yield serve_one(rows)
             return
-        from repro.core.shard_pipeline import pipeline_map
+        from repro.core.shard_pipeline import PipelineStats, pipeline_map
 
         with self._lock:
             if self._pipeline_stats is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataframe import DataFrame, Series, read_csv
-from repro.dataframe.io import _parse_cell, scan_csv_kinds, to_csv
+from repro.dataframe.io import _parse_cell, read_csv_shards, scan_csv_kinds, to_csv
 
 
 class TestCsvRoundtrip:
@@ -144,3 +144,73 @@ class TestBoolRoundtrip:
         to_csv(DataFrame({"s": Series(["007", "x"])}), path)
         back = read_csv(path)
         assert back["s"].tolist() == [7, "x"]
+
+
+class TestIntegerBeyondInt64:
+    """Regression suite: an integer cell outside int64 used to raise
+    ``OverflowError`` from the int64 coercion.  Such a cell keeps its
+    verbatim text, so the column reads as object, in every reader."""
+
+    BIG = "99999999999999999999"
+
+    def write(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b\n1,{self.BIG}\n2,3\n")
+        return path
+
+    def test_read_csv_keeps_text(self, tmp_path):
+        back = read_csv(self.write(tmp_path))
+        assert back["a"].values.dtype == np.int64
+        assert back["b"].values.dtype == object
+        assert back["b"].tolist() == [self.BIG, 3]
+
+    def test_scan_csv_kinds_reports_object(self, tmp_path):
+        assert scan_csv_kinds(self.write(tmp_path)) == {"a": "int", "b": "object"}
+
+    def test_schema_pinned_shards_keep_text(self, tmp_path):
+        path = self.write(tmp_path)
+        shards = list(read_csv_shards(path, 1, schema=scan_csv_kinds(path)))
+        assert [s.frame["b"].tolist() for s in shards] == [[self.BIG], [3]]
+        assert all(s.frame["b"].values.dtype == object for s in shards)
+
+    def test_int64_bounds_stay_integers(self, tmp_path):
+        assert _parse_cell("9223372036854775807") == 2**63 - 1
+        assert _parse_cell("-9223372036854775808") == -(2**63)
+        assert _parse_cell("9223372036854775808") == "9223372036854775808"
+        path = tmp_path / "t.csv"
+        path.write_text("a\n9223372036854775807\n-9223372036854775808\n")
+        back = read_csv(path)
+        assert back["a"].values.dtype == np.int64
+        assert back["a"].tolist() == [2**63 - 1, -(2**63)]
+
+    def test_long_digit_run_in_a_float_column_keeps_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"f\n1.5\n{self.BIG}\n")
+        back = read_csv(path)
+        assert back["f"].values.dtype == object
+        assert back["f"].tolist() == [1.5, self.BIG]
+
+
+class TestDuplicateHeader:
+    """Regression suite: with header ``a,a`` ``read_csv`` appended both
+    cells to one column (a 1-row file read as 2 rows) and
+    ``read_csv_shards`` silently kept the last ``a``.  Every reader now
+    refuses the file, naming the column and its positions."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,a\n1,2,3\n")
+        return path
+
+    def test_read_csv_raises(self, path):
+        with pytest.raises(ValueError, match=r"'a' at positions \[0, 2\]"):
+            read_csv(path)
+
+    def test_read_csv_shards_raises(self, path):
+        with pytest.raises(ValueError, match=r"'a' at positions \[0, 2\]"):
+            list(read_csv_shards(path, 10))
+
+    def test_scan_csv_kinds_raises(self, path):
+        with pytest.raises(ValueError, match=r"'a' at positions \[0, 2\]"):
+            scan_csv_kinds(path)
