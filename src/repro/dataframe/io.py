@@ -61,32 +61,59 @@ __all__ = [
 ]
 
 
+def _int_pattern(digits: str) -> str:
+    """An integer literal whose digit run is *digits*."""
+    return rf"[+-]?{digits}"
+
+
+def _number_pattern(digits: str) -> str:
+    """A decimal literal: a mantissa with a point (optional exponent), an
+    integer mantissa with an exponent, or a bare integer of *digits*."""
+    exponent = r"[eE][+-]?[0-9]+"
+    return rf"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:{exponent})?|[0-9]+{exponent}|{digits})"
+
+
 #: Strict numeric grammar for CSV cells.  Deliberately narrower than
 #: Python's ``int()``/``float()``: no underscore separators (``"1_000"``
 #: is data, not a number), no NaN/inf spellings (``"nan"`` must stay the
 #: string ``"nan"`` — parsing it to a non-finite float made it serialize
 #: back as an *empty* cell, silent data loss), and no surrounding
 #: whitespace (``" 3 "`` is a padded string, not the number 3).
-_INT_CELL = re.compile(r"[+-]?[0-9]+\Z")
-_FLOAT_CELL = re.compile(
-    r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z"
-)
+_INT_CELL = re.compile(_int_pattern("[0-9]+") + r"\Z")
+_FLOAT_CELL = re.compile(_number_pattern("[0-9]+") + r"\Z")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-#: The same grammar over a whole column joined with ``"\n"``.  Bare
+#: The same grammar over a run of cells joined with ``"\n"``.  Bare
 #: integers are capped at 18 digits, which always fit int64; a longer one
 #: sends the column to the per-cell path, where :func:`_parse_cell`
-#: checks the exact range.
-_INT_RUN = re.compile(r"[+-]?[0-9]{1,18}+(?:\n[+-]?[0-9]{1,18}+)*+")
-_NUM = (
-    r"[+-]?(?:[0-9]++\.[0-9]*+(?:[eE][+-]?[0-9]++)?|\.[0-9]++(?:[eE][+-]?[0-9]++)?"
-    r"|[0-9]++[eE][+-]?[0-9]++|[0-9]{1,18}+)"
+#: checks the exact range.  No cell pattern matches ``"\n"`` and no two
+#: alternatives match the same cell, so a fullmatch runs in linear time.
+_CAPPED_DIGITS = "[0-9]{1,18}"
+_INT_RUN = re.compile(
+    rf"{_int_pattern(_CAPPED_DIGITS)}(?:\n{_int_pattern(_CAPPED_DIGITS)})*"
 )
-_NUM_OR_EMPTY_RUN = re.compile(rf"(?:{_NUM})?+(?:\n(?:{_NUM})?+)*+")
+_NUM_OR_EMPTY_RUN = re.compile(
+    rf"(?:{_number_pattern(_CAPPED_DIGITS)})?(?:\n(?:{_number_pattern(_CAPPED_DIGITS)})?)*"
+)
+
+#: Cells per run-regex match.  The repeat keeps a backtrack record per
+#: cell (about 700 bytes for the number grammar), so matching a whole
+#: block at once would hold ~11 MB.
+_RUN_CELLS = 1 << 10
 
 #: Rows per codec block: bounds the raw cells ``read_csv`` and
 #: ``scan_csv_kinds`` hold at once, and the rendered cells ``to_csv`` does.
 _BLOCK_ROWS = 1 << 14
+
+
+def _all_cells_match(run: re.Pattern, cells: tuple) -> bool:
+    """Whether every cell is in *run*'s grammar and none holds a line break."""
+    for start in range(0, len(cells), _RUN_CELLS):
+        window = cells[start : start + _RUN_CELLS]
+        text = "\n".join(window)
+        if text.count("\n") != len(window) - 1 or not run.fullmatch(text):
+            return False
+    return True
 
 
 def _parse_cell(text: str):
@@ -121,6 +148,18 @@ def _parse_cell(text: str):
 _MISSING, _PRESENT, _NONBOOL, _FLOATY, _OBJECT = 1, 2, 4, 8, 16
 _INT_MASK = _PRESENT | _NONBOOL
 _FLOAT_MASK = _PRESENT | _NONBOOL | _FLOATY
+
+
+#: The mask of each kind name: a block fits a kind when OR-ing its mask
+#: in leaves the kind name unchanged.
+_KIND_MASKS = {
+    "object": _OBJECT,
+    "empty": _MISSING,
+    "bool": _PRESENT,
+    "bool_missing": _PRESENT | _MISSING,
+    "float": _FLOAT_MASK,
+    "int": _INT_MASK,
+}
 
 
 def _kind_name(mask: int) -> str:
@@ -174,7 +213,9 @@ def _build(values: list, kind: str) -> np.ndarray:
 
 
 def _as_kind(values: np.ndarray, kind: str) -> np.ndarray:
-    """Widen one decoded block to a whole-file *kind* that is not object.
+    """Widen one decoded block to a whole-file *kind* that is not object
+    and that the block fits (its mask OR-ed into the kind's mask keeps
+    the kind; callers check).
 
     Each conversion equals what list coercion does to the block's parsed
     cells: ints and bools widen to float, booleans to int, and booleans
@@ -199,18 +240,16 @@ def _as_kind(values: np.ndarray, kind: str) -> np.ndarray:
 def _classify_column(cells: tuple) -> tuple[int, dict | None]:
     """``(kind mask, parsed distinct cells)`` of one block column.
 
-    The two numeric fast paths validate the whole column with one regex
-    and return no parse table; every other column parses each distinct
-    cell once.
+    The two numeric fast paths validate the column with a run regex and
+    return no parse table; every other column parses each distinct cell
+    once.
     """
-    text = "\n".join(cells)
-    if text.count("\n") == len(cells) - 1:  # no cell holds a newline
-        if _INT_RUN.fullmatch(text):
-            return _INT_MASK, None
-        if _NUM_OR_EMPTY_RUN.fullmatch(text):
-            if len(text) == len(cells) - 1:  # every cell empty
-                return _MISSING, None
-            return _FLOAT_MASK | (_MISSING if "" in cells else 0), None
+    if _all_cells_match(_INT_RUN, cells):
+        return _INT_MASK, None
+    if _all_cells_match(_NUM_OR_EMPTY_RUN, cells):
+        if not any(cells):
+            return _MISSING, None
+        return _FLOAT_MASK | (_MISSING if "" in cells else 0), None
     parsed = {cell: _parse_cell(cell) for cell in set(cells)}
     return _mask_of(parsed.values()), parsed
 
@@ -274,7 +313,13 @@ def _frame(header: list[str], arrays: Iterable[np.ndarray]) -> DataFrame:
 
 
 def read_csv(path: str | Path) -> DataFrame:
-    """Read a headered CSV file into a :class:`DataFrame` with inferred dtypes."""
+    """Read a headered CSV file into a :class:`DataFrame` with inferred dtypes.
+
+    A column that turns object after earlier all-numeric blocks has those
+    blocks re-parsed from a second pass over *path*; a source that reads
+    differently the second time (a pipe, a file that changed) raises
+    ``ValueError`` rather than keep the float-decoded cells.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = _read_header(reader)
@@ -293,13 +338,24 @@ def read_csv(path: str | Path) -> DataFrame:
         if mask & _OBJECT and any(block.dtype != object for block in parts[i])
     }
     if redo:  # numeric blocks of an object column: parse their cells again
+        n_blocks = len(parts[0])
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
-            next(reader)
-            for b, columns in enumerate(_column_blocks(reader, len(header), _BLOCK_ROWS)):
+            next(reader, None)
+            b = 0
+            for columns in _column_blocks(reader, len(header), _BLOCK_ROWS):
+                if b == n_blocks or len(columns[0]) != len(parts[0][b]):
+                    b = -1
+                    break
                 for i in redo:
                     if parts[i][b].dtype != object:
                         parts[i][b] = _parsed_cells(columns[i])
+                b += 1
+            if b != n_blocks:
+                raise ValueError(
+                    f"{path}: the second pass for object columns read different rows "
+                    "than the first (a pipe or a file that changed cannot be re-read)"
+                )
     arrays = []
     for mask, blocks in zip(masks, parts):
         if not blocks:  # header-only file
@@ -436,7 +492,9 @@ def read_csv_shards(
     row slice of ``read_csv(path)`` regardless of where the boundaries
     fall.  Without a schema each shard infers dtypes independently —
     cheaper (no scan pass), but downstream consumers must tolerate dtype
-    drift between shards (:func:`concat_shards` re-coerces).
+    drift between shards (:func:`concat_shards` re-coerces).  A shard
+    whose cells do not fit the schema kind of their column (a stale
+    schema) raises ``ValueError`` naming the column.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -445,16 +503,26 @@ def read_csv_shards(
         header = _read_header(reader)
         if header is None:
             return
+        kinds = [None if schema is None else schema.get(name, "object") for name in header]
+        for name, kind in zip(header, kinds):
+            if kind is not None and kind not in _KIND_MASKS:
+                raise ValueError(f"column {name!r}: unknown schema kind {kind!r}")
         start = 0
         for index, columns in enumerate(_column_blocks(reader, len(header), chunk_rows)):
             arrays = []
-            for name, cells in zip(header, columns):
-                kind = None if schema is None else schema.get(name, "object")
-                if kind in ("object", "empty"):
+            for name, kind, cells in zip(header, kinds, columns):
+                if kind == "object":
                     arrays.append(_parsed_cells(cells))
                     continue
-                values = _decode_column(cells)[1]
-                arrays.append(values if kind is None else _as_kind(values, kind))
+                mask, values = _decode_column(cells)
+                if kind is not None:
+                    if _kind_name(_KIND_MASKS[kind] | mask) != kind:
+                        raise ValueError(
+                            f"column {name!r}: shard {index} holds {_kind_name(mask)!r} "
+                            f"cells, which do not fit schema kind {kind!r}"
+                        )
+                    values = _as_kind(values, kind)
+                arrays.append(values)
             shard = Shard(_frame(header, arrays), index, start)
             start += len(shard)
             yield shard

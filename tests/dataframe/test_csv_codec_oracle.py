@@ -170,24 +170,26 @@ CELLS = st.one_of(
         lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), min_size=1, max_size=25)
     ),
     st.integers(1, 6),
+    st.integers(1, 4),
 )
-def test_small_blocks_merge_like_one_pass(tmp_path_factory, rows, block_rows):
+def test_small_blocks_merge_like_one_pass(tmp_path_factory, rows, block_rows, run_cells):
     """Kinds that change between decode blocks merge to the dtype a
-    single per-cell pass picks."""
+    single per-cell pass picks, also when a block column is validated in
+    several run-regex windows."""
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     width = len(rows[0])
     path.write_text(
         ",".join(f"c{i}" for i in range(width)) + "\n" + "".join(",".join(r) + "\n" for r in rows)
     )
-    saved = csv_io._BLOCK_ROWS
-    csv_io._BLOCK_ROWS = block_rows
+    saved = csv_io._BLOCK_ROWS, csv_io._RUN_CELLS
+    csv_io._BLOCK_ROWS, csv_io._RUN_CELLS = block_rows, run_cells
     try:
         got, kinds = read_csv(path), scan_csv_kinds(path)
+        shards = concat_shards(read_csv_shards(path, block_rows, schema=kinds))
     finally:
-        csv_io._BLOCK_ROWS = saved
+        csv_io._BLOCK_ROWS, csv_io._RUN_CELLS = saved
     want = reference_read_csv(path)
     ok, detail = frames_identical(got, want)
     assert ok, detail
-    shards = concat_shards(read_csv_shards(path, block_rows, schema=kinds))
     ok, detail = frames_identical(shards, want)
     assert ok, detail

@@ -1,9 +1,17 @@
 """Unit tests for :mod:`repro.dataframe.io`."""
 
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.dataframe import DataFrame, Series, read_csv
+from repro.dataframe import io as csv_io
 from repro.dataframe.io import _parse_cell, read_csv_shards, scan_csv_kinds, to_csv
 
 
@@ -214,3 +222,89 @@ class TestDuplicateHeader:
     def test_scan_csv_kinds_raises(self, path):
         with pytest.raises(ValueError, match=r"'a' at positions \[0, 2\]"):
             scan_csv_kinds(path)
+
+
+class TestSecondPass:
+    """``read_csv`` re-reads the file when a column turns object after
+    earlier all-numeric blocks.  A source that reads differently the
+    second time must fail loudly, not keep float-decoded cells (``3``
+    read back as ``3.0``, missing cells as NaN)."""
+
+    CSV = "x,y\n1,a\n2,b\n,c\nthree,d\n"
+
+    def test_rereadable_file_keeps_cell_types(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csv_io, "_BLOCK_ROWS", 2)
+        path = tmp_path / "t.csv"
+        path.write_text(self.CSV)
+        assert read_csv(path)["x"].tolist() == [1, 2, None, "three"]
+
+    def test_pipe_source_raises(self):
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin")
+        code = (
+            "from repro.dataframe import io\n"
+            "io._BLOCK_ROWS = 2\n"
+            "io.read_csv('/dev/stdin')\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            input=self.CSV,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr and "cannot be re-read" in proc.stderr
+
+    def test_changed_file_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csv_io, "_BLOCK_ROWS", 2)
+        path = tmp_path / "t.csv"
+        path.write_text(self.CSV)
+        reads = []
+
+        def open_changing(file, *args, **kwargs):
+            reads.append(file)
+            if len(reads) == 1:
+                return open(file, *args, **kwargs)
+            return io.StringIO("x,y\n1,a\n")  # one block of one row
+
+        monkeypatch.setattr(csv_io, "open", open_changing, raising=False)
+        with pytest.raises(ValueError, match="cannot be re-read"):
+            read_csv(path)
+        assert len(reads) == 2
+
+
+class TestStaleSchema:
+    """``read_csv_shards`` pins shards to a schema only where the cells
+    fit it; a stale schema raises naming the column instead of passing
+    an object block through or casting NaN to an int64 garbage value."""
+
+    @pytest.mark.parametrize(
+        "kinds, column, held",
+        [
+            ({"a": "int", "b": "object"}, "a", "empty"),
+            ({"a": "float", "b": "int"}, "b", "object"),
+            ({"a": "float", "b": "bool"}, "b", "object"),
+            ({"a": "empty", "b": "object"}, "a", "int"),
+        ],
+    )
+    def test_mismatched_kind_raises(self, tmp_path, kinds, column, held):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,x\n,y\n")
+        with pytest.raises(ValueError, match=f"column '{column}'.*'{held}'.*kind"):
+            list(read_csv_shards(path, 1, schema=kinds))
+
+    def test_bool_block_widens_to_int(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a\nTrue\n5\n")
+        shards = list(read_csv_shards(path, 1, schema={"a": "int"}))
+        assert [s.frame["a"].values.dtype for s in shards] == [np.int64, np.int64]
+        assert [s.frame["a"].tolist() for s in shards] == [[1], [5]]
+
+    def test_unknown_kind_raises(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a\n1\n")
+        with pytest.raises(ValueError, match="unknown schema kind 'str'"):
+            list(read_csv_shards(path, 1, schema={"a": "str"}))
