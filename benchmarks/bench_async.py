@@ -1,21 +1,19 @@
-"""Async execution backend benchmark: real-latency makespans, end to end.
+"""Real-latency FM fan-out benchmark: measured makespans, end to end.
 
-Until this PR every measured speedup in the repo was *modelled* — the
-executors fanned out against zero-latency simulated clients and the
-critical path was computed, not clocked.  This bench runs the new
-transport stack with **real sleeps** and clocks the wall:
+The executors' modelled critical path is computed, not clocked; this
+bench runs the transport stack with **real sleeps** and clocks the wall:
 
 * **Batch makespan** — one batch of independent requests through a
   :class:`~repro.fm.transport.TransportFMClient` over a
   :class:`~repro.fm.transport.SimulatedHTTPTransport` (latency jitter,
   429s with ``Retry-After``, 5xx — the retry schedule runs for real),
-  executed serially, on the thread pool, and on the asyncio backend at
-  concurrency 1–16.  Asserted: the async backend at concurrency 8 cuts
-  the measured makespan ≥2× vs serial.
+  executed serially and on the thread pool at concurrency 1–16.
+  Asserted: the thread pool at concurrency 8 cuts the measured makespan
+  ≥2× vs serial.
 * **Physical stage overlap** — the same SMARTFEAT search through
   stateless transport clients under ``stage_plan="serial"`` vs
   ``"overlap"``: the scheduler detects the stateless clients and fans
-  the independent post-unary stages out through the shared event loop.
+  the independent post-unary stages out through the shared thread pool.
   Asserted: the overlap run reports ``physical_overlap`` and its
   measured per-stage windows genuinely intersect.
 
@@ -32,7 +30,6 @@ from pathlib import Path
 from repro.datasets import load_dataset
 from repro.eval import physical_overlap_report, render_table
 from repro.fm import (
-    AsyncFMExecutor,
     FMRequest,
     RetryPolicy,
     SerialExecutor,
@@ -77,22 +74,18 @@ def _measure(executor, n_requests: int) -> float:
 def run_batch_benchmark(
     concurrencies=CONCURRENCIES, n_requests: int = N_REQUESTS
 ) -> dict:
-    """Serial vs thread vs async real-latency batch makespans."""
+    """Serial vs thread-pool real-latency batch makespans."""
     retry = RetryPolicy(**RETRY)
     serial_wall = _measure(SerialExecutor(retry=retry), n_requests)
     points = []
     for concurrency in concurrencies:
         with ThreadPoolFMExecutor(concurrency, retry=retry) as pool:
             thread_wall = _measure(pool, n_requests)
-        with AsyncFMExecutor(concurrency, retry=retry) as loop:
-            async_wall = _measure(loop, n_requests)
         points.append(
             {
                 "concurrency": concurrency,
                 "thread_wall_s": round(thread_wall, 3),
-                "async_wall_s": round(async_wall, 3),
                 "thread_speedup": round(serial_wall / thread_wall, 2),
-                "async_speedup": round(serial_wall / async_wall, 2),
             }
         )
     by_concurrency = {p["concurrency"]: p for p in points}
@@ -102,7 +95,7 @@ def run_batch_benchmark(
         "jitter_s": JITTER_S,
         "serial_wall_s": round(serial_wall, 3),
         "points": points,
-        "async_speedup_at_8": by_concurrency.get(8, points[-1])["async_speedup"],
+        "thread_speedup_at_8": by_concurrency.get(8, points[-1])["thread_speedup"],
     }
 
 
@@ -112,16 +105,11 @@ def render_batch_table(payload: dict) -> str:
             str(p["concurrency"]),
             f"{payload['serial_wall_s']:.2f}",
             f"{p['thread_wall_s']:.2f}",
-            f"{p['async_wall_s']:.2f}",
             f"{p['thread_speedup']:.1f}x",
-            f"{p['async_speedup']:.1f}x",
         ]
         for p in payload["points"]
     ]
-    return render_table(
-        ["concurrency", "serial (s)", "thread (s)", "async (s)", "thread", "async"],
-        rows,
-    )
+    return render_table(["concurrency", "serial (s)", "thread (s)", "speedup"], rows)
 
 
 def run_overlap_benchmark(dataset: str = "heart", n_rows: int = 250) -> dict:
@@ -154,9 +142,9 @@ def render_overlap_table(payload: dict) -> str:
 
 
 def assert_batch(payload: dict, min_speedup: float = 2.0) -> None:
-    speedup = payload["async_speedup_at_8"]
+    speedup = payload["thread_speedup_at_8"]
     assert speedup >= min_speedup, (
-        f"async backend at concurrency 8 below {min_speedup}x vs serial: {speedup}x"
+        f"thread pool at concurrency 8 below {min_speedup}x vs serial: {speedup}x"
     )
 
 
@@ -176,20 +164,20 @@ def run_smoke() -> int:
     overlap = run_overlap_benchmark(n_rows=150)
     assert_overlap(overlap)
     print(
-        "async smoke ok: "
-        f"batch speedup {batch['async_speedup_at_8']:.1f}x at concurrency 8, "
+        "fan-out smoke ok: "
+        f"batch speedup {batch['thread_speedup_at_8']:.1f}x at concurrency 8, "
         f"physical stage overlap {overlap['stages_overlapped']} "
         f"({overlap['measured_speedup']:.2f}x measured)"
     )
     return 0
 
 
-def test_async_batch_speedup(results_dir):
-    """Async executor: ≥2x lower measured batch makespan at concurrency 8."""
+def test_thread_batch_speedup(results_dir):
+    """Thread-pool executor: ≥2x lower measured batch makespan at concurrency 8."""
     from benchmarks.conftest import write_result
 
     payload = run_batch_benchmark()
-    write_result(results_dir, "async_batch.txt", render_batch_table(payload))
+    write_result(results_dir, "fanout_batch.txt", render_batch_table(payload))
     assert_batch(payload)
 
 
@@ -198,7 +186,7 @@ def test_physical_stage_overlap(results_dir):
     from benchmarks.conftest import write_result
 
     payload = run_overlap_benchmark()
-    write_result(results_dir, "async_overlap.txt", render_overlap_table(payload))
+    write_result(results_dir, "fanout_overlap.txt", render_overlap_table(payload))
     assert_overlap(payload)
 
 

@@ -372,7 +372,9 @@ class StageScheduler:
     ``"truncated"`` record instead of re-raising.
 
     **Physical overlap.**  When the plan is ``"overlap"``, the executor
-    is concurrent, and every client reports
+    is concurrent (a :class:`~repro.fm.executor.ThreadPoolFMExecutor`,
+    whose ``run()`` accepts calls from several threads), and every
+    client reports
     :meth:`~repro.fm.base.FMClient.is_stateless` (e.g. a
     transport-backed HTTP client, whose entropy lives server-side), the
     canonical dispatch order protects nothing — no counter, no cursor —

@@ -294,14 +294,23 @@ def _read_header(reader) -> list[str] | None:
 
 def _column_blocks(reader, width: int, block_rows: int) -> Iterator[list[tuple]]:
     """Consecutive blocks of ≤ *block_rows* rows, each as *width* column
-    tuples of cell text.  A short row reads as empty trailing cells and
-    cells beyond the header are dropped."""
+    tuples of cell text.  A short row is padded with empty trailing
+    cells; a row with more cells than the header raises ``ValueError``
+    naming its 1-based data row, so no cell is ever dropped silently."""
+    done = 0
     while True:
         rows = list(islice(reader, block_rows))
         if not rows:
             return
         if set(map(len, rows)) != {width}:
-            rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+            for number, row in enumerate(rows, done + 1):
+                if len(row) > width:
+                    raise ValueError(
+                        f"CSV data row {number} has {len(row)} cells but the "
+                        f"header has {width} columns"
+                    )
+            rows = [row + [""] * (width - len(row)) for row in rows]
+        done += len(rows)
         yield list(zip(*rows))
 
 

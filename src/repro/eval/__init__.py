@@ -29,22 +29,14 @@ from repro.eval.reporting import (
     render_sweep_summary,
     render_table,
 )
-from repro.eval.sweep_executor import (
-    SerialSweepExecutor,
-    SweepExecutor,
-    ThreadPoolSweepExecutor,
-)
 
 __all__ = [
     "CHAOS_MODES",
     "ChaosSchedule",
     "FaultInjector",
     "MethodOutcome",
-    "SerialSweepExecutor",
     "SweepConfig",
-    "SweepExecutor",
     "SweepResult",
-    "ThreadPoolSweepExecutor",
     "concurrency_speedup_report",
     "evaluate_models",
     "feature_matrix",

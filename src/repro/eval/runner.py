@@ -20,11 +20,9 @@ Execution model
 ---------------
 Every (dataset, method) cell is an independent, order-insensitive job:
 it loads no global state, carries its own seeded FM clients, and writes
-only its own :class:`MethodOutcome`.  ``run_sweep`` therefore dispatches
-the cells through a pluggable
-:class:`~repro.eval.sweep_executor.SweepExecutor` —
-serial by default, a bounded thread pool at
-``SweepConfig.sweep_concurrency > 1`` — and assembles results in
+only its own :class:`MethodOutcome`.  ``run_sweep`` therefore runs the
+cells in a plain loop by default, or through a bounded thread pool at
+``SweepConfig.sweep_concurrency > 1``, and assembles results in
 configuration order regardless of completion order, so serial and
 parallel sweeps produce identical outcomes for seeded clients (timing
 fields aside).  One caveat: DNF decisions extrapolate *measured* wall
@@ -40,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.baselines import (
@@ -53,11 +52,6 @@ from repro.core import SmartFeat
 from repro.datasets import load_dataset
 from repro.datasets.schema import DatasetBundle
 from repro.eval.harness import NonFiniteFeaturesError, evaluate_models
-from repro.eval.sweep_executor import (
-    SerialSweepExecutor,
-    SweepExecutor,
-    ThreadPoolSweepExecutor,
-)
 from repro.fm import SimulatedFM
 from repro.fm.base import Budget
 from repro.fm.cost import critical_path_seconds
@@ -472,7 +466,6 @@ def run_sweep(
     config: SweepConfig | None = None,
     progress=None,
     sweep_concurrency: int | None = None,
-    sweep_executor: SweepExecutor | None = None,
 ) -> SweepResult:
     """Run the full Table 4/5 sweep under *config*.
 
@@ -480,26 +473,13 @@ def run_sweep(
     lines (benchmarks print them); it is invoked under a lock so
     concurrent cells cannot interleave partial lines.
 
-    *sweep_concurrency* overrides ``config.sweep_concurrency``;
-    *sweep_executor* injects a custom backend (the caller keeps
-    ownership and must close it).  Cells are dispatched as independent
-    jobs and re-assembled in configuration order, so the result mapping
-    is identical under any backend.
+    *sweep_concurrency* overrides ``config.sweep_concurrency``.  Cells
+    are dispatched as independent jobs and re-assembled in configuration
+    order, so the result mapping is identical at any concurrency.
     """
     config = config or SweepConfig()
     if sweep_concurrency is not None:
         config = replace(config, sweep_concurrency=sweep_concurrency)
-    if sweep_executor is not None:
-        if sweep_concurrency is not None:
-            raise ValueError(
-                "pass either sweep_concurrency or sweep_executor, not both: "
-                "the executor's own fan-out is what actually runs"
-            )
-        # Reflect what will actually run, so SweepResult.modelled_wall_s
-        # and the summary report the injected backend's fan-out.
-        config = replace(
-            config, sweep_concurrency=getattr(sweep_executor, "concurrency", 1)
-        )
     unknown = [m for m in config.methods if m not in METHOD_NAMES]
     if unknown:
         raise ValueError(f"unknown method {unknown[0]!r}; expected one of {METHOD_NAMES}")
@@ -527,20 +507,13 @@ def run_sweep(
         locked_say(f"{dataset_name}: running {method}")
         return _run_cell(config, bundles[dataset_name], dataset_name, method)
 
-    executor = sweep_executor
-    owns_executor = executor is None
-    if executor is None:
-        executor = (
-            SerialSweepExecutor()
-            if config.sweep_concurrency == 1
-            else ThreadPoolSweepExecutor(config.sweep_concurrency)
-        )
     started = time.monotonic()
-    try:
-        outcomes = executor.map(job, cells)
-    finally:
-        if owns_executor:
-            executor.close()
+    if config.sweep_concurrency == 1:
+        outcomes = [job(cell) for cell in cells]
+    else:
+        # map() yields in submission order, whatever the completion order.
+        with ThreadPoolExecutor(config.sweep_concurrency) as pool:
+            outcomes = list(pool.map(job, cells))
     result = SweepResult(config=config, wall_s=time.monotonic() - started)
     for cell, outcome in zip(cells, outcomes):
         result.outcomes[cell] = outcome

@@ -53,30 +53,6 @@ class PlanNotFoundError(PlanError):
     """The registry has no plan under the requested name/version."""
 
 
-def _pipeline_inflight(
-    pipeline_workers: int | None, pipeline_prefetch: int | None
-) -> int:
-    """How many shards the pipelined executor holds in flight at once.
-
-    Sequential execution (``pipeline_workers=None``) holds exactly one;
-    the pipeline admits ``workers + prefetch`` (prefetch defaults to one
-    per worker), which memory budgets divide by so the RSS contract is
-    unchanged by overlap.
-    """
-    if pipeline_workers is None:
-        return 1
-    if pipeline_workers < 1:
-        raise PlanError(
-            f"pipeline_workers must be >= 1, got {pipeline_workers}"
-        )
-    prefetch = pipeline_prefetch if pipeline_prefetch is not None else pipeline_workers
-    if prefetch < 1:
-        raise PlanError(
-            f"pipeline_prefetch must be >= 1, got {pipeline_prefetch}"
-        )
-    return pipeline_workers + prefetch
-
-
 def column_kind(series: Series) -> str:
     """The coarse schema kind a plan records per input column.
 
@@ -317,9 +293,6 @@ class FeaturePlan:
         breakers=None,
         watchdog=None,
         evaluator=None,
-        pipeline_workers: int | None = None,
-        pipeline_prefetch: int | None = None,
-        pipeline_stats=None,
     ):
         """Replay the plan shard-by-shard: a generator of featured frames.
 
@@ -338,73 +311,35 @@ class FeaturePlan:
         size the producer chose.  The bound is enforced empirically by
         ``benchmarks/bench_sharded.py`` against process peak RSS.
 
-        ``pipeline_workers`` opts into the overlapped executor
-        (:func:`~repro.core.shard_pipeline.pipeline_map`): shard
-        production (decode/re-chunk), per-shard replay, and the ordered
-        hand-off to the consumer run as concurrent stages with
-        *pipeline_workers* transform threads and a bounded prefetch of
-        ``pipeline_prefetch`` shards (default: one per worker).  A
-        re-sequencing buffer keeps yield order — and therefore output
-        bytes — identical to the sequential path, and the memory budget
-        is split across the ``workers + prefetch`` in-flight shards so
-        the RSS contract holds unchanged.  ``None`` (the default) is the
-        original strictly sequential loop, byte-for-byte.  Pass a
-        :class:`~repro.core.shard_pipeline.PipelineStats` as
-        *pipeline_stats* to collect per-stage wall-clock/queue-depth
-        numbers.
-
         Fault isolation composes per shard: under
         ``failure_policy="degrade"`` a failing feature NaN-fills only the
         shard it failed on, and a shared *breakers* board / *watchdog*
-        accumulates across shards exactly as it does across batches
-        (both are thread-safe, so this holds under pipeline workers too;
-        exact breaker trip *timelines* across shards follow worker
-        timing when pipelined).  Sandbox-fallback features (statuses
-        other than ``compiled``) recompute their batch statistics per
-        shard — equivalent to serving the same rows as smaller batches,
-        and flagged in the plan's ``counts()``; fully compiled plans
-        (every eval dataset) have no such features.
+        accumulates across shards exactly as it does across batches.
+        Sandbox-fallback features (statuses other than ``compiled``)
+        recompute their batch statistics per shard — equivalent to
+        serving the same rows as smaller batches, and flagged in the
+        plan's ``counts()``; fully compiled plans (every eval dataset)
+        have no such features.
         """
         from repro.dataframe.io import Shard, iter_frame_shards
 
-        inflight = _pipeline_inflight(pipeline_workers, pipeline_prefetch)
-        shard_budget_mb = (
-            memory_budget_mb / inflight if memory_budget_mb is not None else None
-        )
-
-        def produce():
-            for piece in shards:
-                frame = piece.frame if isinstance(piece, Shard) else piece
-                if len(frame) == 0:
-                    continue
-                if shard_budget_mb is None:
-                    yield frame
-                else:
-                    max_rows = self.budget_rows(frame, shard_budget_mb)
-                    yield from (s.frame for s in iter_frame_shards(frame, max_rows))
-
-        def replay(sub):
-            return self.apply(
-                sub,
-                failure_policy=failure_policy,
-                breakers=breakers,
-                watchdog=watchdog,
-                evaluator=evaluator,
-            )
-
-        if pipeline_workers is None:
-            for sub in produce():
-                yield replay(sub)
-            return
-        from repro.core.shard_pipeline import pipeline_map
-
-        yield from pipeline_map(
-            produce(),
-            replay,
-            workers=pipeline_workers,
-            prefetch=pipeline_prefetch,
-            stats=pipeline_stats,
-        )
+        for piece in shards:
+            frame = piece.frame if isinstance(piece, Shard) else piece
+            if len(frame) == 0:
+                continue
+            if memory_budget_mb is None:
+                subs = [frame]
+            else:
+                max_rows = self.budget_rows(frame, memory_budget_mb)
+                subs = (s.frame for s in iter_frame_shards(frame, max_rows))
+            for sub in subs:
+                yield self.apply(
+                    sub,
+                    failure_policy=failure_policy,
+                    breakers=breakers,
+                    watchdog=watchdog,
+                    evaluator=evaluator,
+                )
 
     #: Estimated per-row bytes for an object-dtype cell (pointer plus a
     #: typical small payload) and the multiplier covering transient
@@ -442,14 +377,7 @@ class FeaturePlan:
         budget_bytes = memory_budget_mb * 1_000_000
         return max(int(budget_bytes / (max(row_bytes, 1) * self._WORKING_FACTOR)), 1)
 
-    def refresh_group_tables(
-        self,
-        shards,
-        *,
-        pipeline_workers: int | None = None,
-        pipeline_prefetch: int | None = None,
-        pipeline_stats=None,
-    ) -> int:
+    def refresh_group_tables(self, shards) -> int:
         """Second fit pass: re-aggregate every frozen ``group_lookup``
         table over a full shard stream.
 
@@ -473,14 +401,6 @@ class FeaturePlan:
 
         Mutates this plan in place: do it at fit/publish time, before the
         plan is saved or served (loaded plans are treated as immutable).
-
-        ``pipeline_workers`` opts into the overlapped executor for the
-        expensive part — replaying compiled features to materialize
-        derived keys/aggregands runs on worker threads — while the
-        aggregation fold itself stays a strict left fold in stream order
-        on the caller's thread (the sequential-fold sum is defined by
-        stream order, so the refreshed tables are bit-identical to the
-        sequential pass).
         """
         from repro.dataframe.expr import refreeze_group_table
         from repro.dataframe.groupby import StreamingGroupAgg
@@ -503,14 +423,10 @@ class FeaturePlan:
             if agg_col is not None:
                 needed.add(agg_col)
 
-        def produce():
-            for piece in shards:
-                frame = piece.frame if isinstance(piece, Shard) else piece
-                if len(frame) == 0:
-                    continue
-                yield frame
-
-        def materialize(frame: DataFrame) -> DataFrame:
+        for piece in shards:
+            frame = piece.frame if isinstance(piece, Shard) else piece
+            if len(frame) == 0:
+                continue
             working = frame.column_view(frame.columns)
             for spec in self.features:
                 if needed <= set(working.columns):
@@ -526,21 +442,6 @@ class FeaturePlan:
                     "no compiled feature produces (sandbox-fallback outputs "
                     "cannot stream)"
                 )
-            return working
-
-        if pipeline_workers is None:
-            materialized = (materialize(frame) for frame in produce())
-        else:
-            from repro.core.shard_pipeline import pipeline_map
-
-            materialized = pipeline_map(
-                produce(),
-                materialize,
-                workers=pipeline_workers,
-                prefetch=pipeline_prefetch,
-                stats=pipeline_stats,
-            )
-        for working in materialized:
             for agg in aggs:
                 agg.update(working)
         for node, agg in zip(nodes, aggs):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import TYPE_CHECKING
 
 from repro.dataframe.frame import DataFrame
 from repro.serve.plan import FeaturePlan, PlanError
@@ -42,9 +41,6 @@ from repro.serve.resilience import (
     ValidationLimits,
     validate_rows,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.shard_pipeline import PipelineStats
 
 __all__ = ["FeatureServer", "ServeReport"]
 
@@ -139,7 +135,6 @@ class FeatureServer:
         )
         self.limits = limits or ValidationLimits()
         self.stats_board = ServerStats()
-        self._pipeline_stats: PipelineStats | None = None
 
     # ------------------------------------------------------------------
     # Plan resolution
@@ -215,9 +210,6 @@ class FeatureServer:
         shards: Iterable,
         name: str | None = None,
         version: int | None = None,
-        *,
-        pipeline_workers: int | None = None,
-        pipeline_prefetch: int | None = None,
     ) -> Iterator[DataFrame]:
         """Stream featured frames shard-by-shard (out-of-core serving).
 
@@ -228,44 +220,14 @@ class FeatureServer:
         feature NaN-fills only the shards it fails on) while breakers,
         the watchdog, and the stats board accumulate across the whole
         stream.  Never holds more than one shard plus its featured
-        output when sequential (the default).
-
-        ``pipeline_workers`` opts into the overlapped shard executor
-        (:func:`~repro.core.shard_pipeline.pipeline_map`): shard
-        production, per-shard transform, and the ordered hand-off run
-        concurrently with at most ``workers + prefetch`` shards in
-        flight, and a re-sequencing buffer keeps the yielded order —
-        and therefore bytes — identical to the sequential stream.
-        Per-stage wall-clock/queue-depth numbers accumulate on the
-        server and surface under ``stats()["pipeline"]``.
+        output.
         """
         from repro.dataframe.io import Shard
 
-        def produce():
-            for piece in shards:
-                yield piece.frame if isinstance(piece, Shard) else piece
-
-        def serve_one(rows):
+        for piece in shards:
+            rows = piece.frame if isinstance(piece, Shard) else piece
             out, _report = self.transform_with_report(rows, name, version)
-            return out
-
-        if pipeline_workers is None:
-            for rows in produce():
-                yield serve_one(rows)
-            return
-        from repro.core.shard_pipeline import PipelineStats, pipeline_map
-
-        with self._lock:
-            if self._pipeline_stats is None:
-                self._pipeline_stats = PipelineStats()
-            stats = self._pipeline_stats
-        yield from pipeline_map(
-            produce(),
-            serve_one,
-            workers=pipeline_workers,
-            prefetch=pipeline_prefetch,
-            stats=stats,
-        )
+            yield out
 
     def transform_with_report(
         self,
@@ -314,9 +276,6 @@ class FeatureServer:
         out = self.stats_board.snapshot()
         out["failure_policy"] = self.failure_policy
         out["breakers"] = self.breakers.snapshot() if self.breakers else {}
-        with self._lock:
-            stats = self._pipeline_stats
-        out["pipeline"] = stats.to_dict() if stats is not None else {}
         return out
 
     def health(self) -> dict:

@@ -1,12 +1,10 @@
-"""Property-based serial == threaded == async equivalence.
+"""Property-based serial == threaded equivalence.
 
-`tests/core/test_concurrent_properties.py` proved the serial and
-thread-pool executors interchangeable on seeded clients; this suite
-extends the same discipline to :class:`~repro.fm.executor.AsyncFMExecutor`
-— the asyncio backend must be a pure infrastructure swap too, over random
-family subsets, wave sizes, concurrency levels, and injected 429 retries.
-Identity is checked at full strength: frames (bit-level), accepted-feature
-*order*, and ledger call counts.
+The thread-pool executor must be a pure infrastructure swap for the
+serial one on seeded clients, over random family subsets, wave sizes,
+concurrency levels, and injected 429 retries.  Identity is checked at
+full strength: frames (bit-level), accepted-feature *order*, and ledger
+call counts.
 
 Also here: the regression tests for the removed ``generator.timer``
 thread-local fallback — timers are only ever passed explicitly, so
@@ -25,7 +23,6 @@ from repro.core.types import FeatureCandidate, OperatorFamily
 from repro.dataframe import DataFrame
 from repro.eval.efficiency import _frames_identical
 from repro.fm import (
-    AsyncFMExecutor,
     FMRateLimitError,
     FMRequest,
     RetryPolicy,
@@ -127,7 +124,7 @@ def _run_pipeline(executor, seed, wave_size, families, fail_every=None):
 
 
 # ----------------------------------------------------------------------
-# Executor-level: random batches, three backends, one answer.
+# Executor-level: random batches, both backends, one answer.
 # ----------------------------------------------------------------------
 @given(
     seed=st.integers(min_value=0, max_value=50),
@@ -136,7 +133,7 @@ def _run_pipeline(executor, seed, wave_size, families, fail_every=None):
     temperature_pattern=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=20, deadline=None)
-def test_simulator_batches_identical_across_three_backends(
+def test_simulator_batches_identical_across_backends(
     seed, concurrency, batch_sizes, temperature_pattern
 ):
     def run(executor):
@@ -158,9 +155,7 @@ def test_simulator_batches_identical_across_three_backends(
     serial = run(SerialExecutor())
     with ThreadPoolFMExecutor(concurrency) as pool:
         threaded = run(pool)
-    with AsyncFMExecutor(concurrency) as loop:
-        asynced = run(loop)
-    assert serial == threaded == asynced
+    assert serial == threaded
 
 
 # ----------------------------------------------------------------------
@@ -173,27 +168,23 @@ def test_simulator_batches_identical_across_three_backends(
     families=st.sampled_from(FAMILY_SUBSETS),
 )
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_pipeline_identical_across_three_backends(
-    seed, wave_size, concurrency, families
-):
+def test_pipeline_identical_across_backends(seed, wave_size, concurrency, families):
     serial_result, serial_fp = _run_pipeline(
         SerialExecutor(), seed, wave_size, families
     )
     with ThreadPoolFMExecutor(concurrency) as pool:
         threaded_result, threaded_fp = _run_pipeline(pool, seed, wave_size, families)
-    with AsyncFMExecutor(concurrency) as loop:
-        async_result, async_fp = _run_pipeline(loop, seed, wave_size, families)
-    assert serial_fp == threaded_fp == async_fp
-    assert _frames_identical(serial_result.frame, async_result.frame)
-    assert _frames_identical(threaded_result.frame, async_result.frame)
+    assert serial_fp == threaded_fp
+    assert _frames_identical(serial_result.frame, threaded_result.frame)
 
 
 # ----------------------------------------------------------------------
-# Injected 429s: retries must not perturb thread == async equivalence.
-# (Serial is excluded *with retries on* by design: it reserves state
-# lazily, so a retry consumes the next slot and later calls shift —
-# the documented batch-reservation divergence from PR 2.  Both batch
-# backends reserve up front and must stay bit-identical.)
+# Injected 429s: retries must not make the thread pool's answer depend
+# on its fan-out.  (Serial is excluded *with retries on* by design: it
+# reserves state lazily, so a retry consumes the next slot and later
+# calls shift — the documented batch-reservation divergence.  The pool
+# reserves a whole batch up front, at any fan-out, and must stay
+# bit-identical between one worker and many.)
 # ----------------------------------------------------------------------
 @given(
     seed=st.integers(min_value=0, max_value=3),
@@ -202,21 +193,21 @@ def test_pipeline_identical_across_three_backends(
     fail_every=st.integers(min_value=3, max_value=9),
 )
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_injected_429s_identical_thread_vs_async(
+def test_injected_429s_identical_across_thread_fanouts(
     seed, wave_size, concurrency, fail_every
 ):
     retry = RetryPolicy(max_attempts=3)
     families = (OperatorFamily.UNARY, OperatorFamily.BINARY, OperatorFamily.HIGH_ORDER)
+    with ThreadPoolFMExecutor(1, retry=retry) as single:
+        single_result, single_fp = _run_pipeline(
+            single, seed, wave_size, families, fail_every=fail_every
+        )
     with ThreadPoolFMExecutor(concurrency, retry=retry) as pool:
         threaded_result, threaded_fp = _run_pipeline(
             pool, seed, wave_size, families, fail_every=fail_every
         )
-    with AsyncFMExecutor(concurrency, retry=retry) as loop:
-        async_result, async_fp = _run_pipeline(
-            loop, seed, wave_size, families, fail_every=fail_every
-        )
-    assert threaded_fp == async_fp
-    assert _frames_identical(threaded_result.frame, async_result.frame)
+    assert single_fp == threaded_fp
+    assert _frames_identical(single_result.frame, threaded_result.frame)
 
 
 @given(
@@ -226,26 +217,22 @@ def test_injected_429s_identical_thread_vs_async(
     fail_every=st.integers(min_value=3, max_value=9),
 )
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_injected_429s_without_retries_identical_across_all_backends(
+def test_injected_429s_without_retries_identical_across_backends(
     seed, wave_size, concurrency, fail_every
 ):
     """With retries off, a 429 is just a deterministic stage error — it
-    consumes exactly its reserved slot on every backend, so all three
-    stay bit-identical including the error bookkeeping."""
+    consumes exactly its reserved slot on either backend, so both stay
+    bit-identical including the error bookkeeping."""
     families = (OperatorFamily.UNARY, OperatorFamily.BINARY, OperatorFamily.HIGH_ORDER)
     serial_result, serial_fp = _run_pipeline(
         SerialExecutor(), seed, wave_size, families, fail_every=fail_every
     )
     with ThreadPoolFMExecutor(concurrency) as pool:
-        _, threaded_fp = _run_pipeline(
+        threaded_result, threaded_fp = _run_pipeline(
             pool, seed, wave_size, families, fail_every=fail_every
         )
-    with AsyncFMExecutor(concurrency) as loop:
-        async_result, async_fp = _run_pipeline(
-            loop, seed, wave_size, families, fail_every=fail_every
-        )
-    assert serial_fp == threaded_fp == async_fp
-    assert _frames_identical(serial_result.frame, async_result.frame)
+    assert serial_fp == threaded_fp
+    assert _frames_identical(serial_result.frame, threaded_result.frame)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,12 @@ def reference_read_csv(path) -> DataFrame:
         except StopIteration:
             return DataFrame()
         data: dict[str, list] = {name: [] for name in header}
-        for row in reader:
+        for number, row in enumerate(reader, 1):
+            if len(row) > len(header):
+                raise ValueError(
+                    f"CSV data row {number} has {len(row)} cells but the "
+                    f"header has {len(header)} columns"
+                )
             for name, cell in zip(header, row):
                 data[name].append(_parse_cell(cell))
             for name in header[len(row):]:

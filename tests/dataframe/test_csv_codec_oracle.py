@@ -137,12 +137,32 @@ def test_negative_zero_int_cell_widens_to_positive_zero(tmp_path):
 
 def test_ragged_rows_decode_like_the_reference(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("a,b,c\n1,2\n3,4,5,6\n\n7,x,8\n")
+    path.write_text("a,b,c\n1,2\n\n7,x,8\n")
     ok, detail = frames_identical(read_csv(path), reference_read_csv(path))
     assert ok, detail
     shards = concat_shards(read_csv_shards(path, 2, schema=scan_csv_kinds(path)))
     ok, detail = frames_identical(shards, reference_read_csv(path))
     assert ok, detail
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        read_csv,
+        scan_csv_kinds,
+        lambda path: list(read_csv_shards(path, 2, schema=scan_csv_kinds(path))),
+    ],
+    ids=["read_csv", "scan_csv_kinds", "read_csv_shards"],
+)
+def test_extra_cells_raise_naming_the_row(tmp_path, read):
+    """A cell beyond the header is an error, never a silent drop: the
+    message names the 1-based data row, its cell count and the width."""
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n3\n4,5\n6,7,8\n")
+    with pytest.raises(ValueError, match=r"data row 4 has 3 cells but the header has 2"):
+        read(path)
+    with pytest.raises(ValueError, match=r"data row 4 has 3 cells"):
+        reference_read_csv(path)
 
 
 def test_header_only_and_empty_files(tmp_path):

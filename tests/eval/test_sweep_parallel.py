@@ -12,9 +12,7 @@ import pytest
 
 import repro.eval.runner as runner_module
 from repro.eval import (
-    SerialSweepExecutor,
     SweepConfig,
-    ThreadPoolSweepExecutor,
     render_auc_table,
     render_sweep_summary,
     run_sweep,
@@ -89,25 +87,24 @@ class TestSerialParallelEquality:
         run_sweep(matrix_config, progress=parallel_lines.append, sweep_concurrency=3)
         assert sorted(serial_lines) == sorted(parallel_lines)
 
-    def test_injected_executor_is_used_and_not_closed(self, matrix_config):
-        class CountingExecutor(SerialSweepExecutor):
-            def __init__(self):
-                self.jobs = 0
-                self.closed = False
+    def test_each_cell_runs_exactly_once(
+        self, serial_and_parallel, matrix_config, monkeypatch
+    ):
+        real_run_cell = runner_module._run_cell
+        ran = []
 
-            def map(self, fn, items):
-                self.jobs += len(items)
-                return super().map(fn, items)
+        def counting_run_cell(config, bundle, dataset_name, method):
+            ran.append((dataset_name, method))
+            return real_run_cell(config, bundle, dataset_name, method)
 
-            def close(self):
-                self.closed = True
+        monkeypatch.setattr(runner_module, "_run_cell", counting_run_cell)
+        result = run_sweep(matrix_config, sweep_concurrency=3)
+        assert sorted(ran) == sorted(result.outcomes)
+        assert len(ran) == len(result.outcomes)
+        serial, _ = serial_and_parallel
+        assert outcome_fingerprint(serial) == outcome_fingerprint(result)
 
-        executor = CountingExecutor()
-        result = run_sweep(matrix_config, sweep_executor=executor)
-        assert executor.jobs == len(result.outcomes)
-        assert not executor.closed  # caller keeps ownership
-
-    def test_injected_executor_concurrency_reflected_in_result(self):
+    def test_sweep_concurrency_reflected_in_result(self):
         config = SweepConfig(
             datasets=("tennis",),
             methods=("initial", "featuretools"),
@@ -115,10 +112,11 @@ class TestSerialParallelEquality:
             n_rows=150,
             time_limit_s=None,
         )
-        with ThreadPoolSweepExecutor(5) as executor:
-            result = run_sweep(config, sweep_executor=executor)
-        # modelled_wall_s / the summary must describe the backend that ran.
-        assert result.config.sweep_concurrency == 5
+        serial = run_sweep(config)
+        parallel = run_sweep(config, sweep_concurrency=5)
+        # modelled_wall_s / the summary must describe the fan-out that ran.
+        assert parallel.config.sweep_concurrency == 5
+        assert outcome_fingerprint(serial) == outcome_fingerprint(parallel)
 
 
 class TestFaultIsolation:
@@ -273,19 +271,5 @@ class TestSweepAccounting:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             run_sweep(SweepConfig(datasets=("tennis",), sweep_concurrency=0))
-
-    def test_concurrency_and_executor_conflict_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_sweep(
-                SweepConfig(datasets=("tennis",)),
-                sweep_concurrency=8,
-                sweep_executor=SerialSweepExecutor(),
-            )
-
-    def test_thread_pool_executor_validation_and_order(self):
         with pytest.raises(ValueError):
-            ThreadPoolSweepExecutor(0)
-        with ThreadPoolSweepExecutor(3) as executor:
-            assert executor.map(lambda x: x * x, list(range(20))) == [
-                x * x for x in range(20)
-            ]
+            run_sweep(SweepConfig(datasets=("tennis",)), sweep_concurrency=0)

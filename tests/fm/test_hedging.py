@@ -13,7 +13,6 @@ import threading
 import pytest
 
 from repro.fm import (
-    AsyncFMExecutor,
     FMRequest,
     HedgePolicy,
     LatencyTracker,
@@ -136,15 +135,6 @@ class SlowFirstTransport(Transport):
             status=200, text=f"echo:{request.prompt}", latency_s=latency
         )
 
-    async def asend(self, request: TransportRequest) -> TransportResponse:
-        import asyncio
-
-        latency = self._latency_for(request)
-        await asyncio.sleep(latency)
-        return TransportResponse(
-            status=200, text=f"echo:{request.prompt}", latency_s=latency
-        )
-
 
 HEDGE_NOW = HedgePolicy(initial_delay_s=0.02, min_observations=10_000)
 
@@ -154,9 +144,8 @@ HEDGE_NOW = HedgePolicy(initial_delay_s=0.02, min_observations=10_000)
     [
         lambda: SerialExecutor(hedge=HEDGE_NOW),
         lambda: ThreadPoolFMExecutor(4, hedge=HEDGE_NOW),
-        lambda: AsyncFMExecutor(4, hedge=HEDGE_NOW),
     ],
-    ids=["serial", "thread", "async"],
+    ids=["serial", "thread"],
 )
 def test_shadow_wins_the_tail_race(make_executor):
     executor = make_executor()
@@ -207,22 +196,6 @@ def _tokens_for(prompt: str) -> tuple[int, int]:
     from repro.fm.cost import estimate_tokens
 
     return estimate_tokens(prompt), estimate_tokens(f"echo:{prompt}")
-
-
-def test_async_loser_is_cancelled_not_charged():
-    executor = AsyncFMExecutor(4, hedge=HEDGE_NOW)
-    try:
-        client = TransportFMClient(SlowFirstTransport(stall_s=0.5))
-        results = executor.run(client, [FMRequest("p0"), FMRequest("p1")])
-        assert all(r.ok for r in results)
-        snapshot = client.ledger.snapshot()
-        assert snapshot["n_calls"] == 2
-        assert snapshot["hedges_issued"] == 2
-        assert snapshot["hedges_abandoned"] == 2
-        # Cancelled losers never produced a response: nothing wasted.
-        assert snapshot["hedge_wasted_cost_usd"] == 0.0
-    finally:
-        executor.close()
 
 
 def test_fast_primary_never_hedges():

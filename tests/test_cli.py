@@ -341,95 +341,3 @@ class TestPlanCommands:
                 ]
             )
 
-
-class TestPipelineFlags:
-    """``plan apply --pipeline-workers``: overlapped execution with the
-    same output bytes."""
-
-    _write_csv = staticmethod(TestPlanCommands._write_csv)
-
-    def _export(self, tmp_path, n_rows=100):
-        source = tmp_path / "data.csv"
-        self._write_csv(source, n_rows=n_rows)
-        plan_path = tmp_path / "plan.json"
-        main(["plan", "export", str(source), "--target", "label", "--out", str(plan_path)])
-        return source, plan_path
-
-    def test_parser_accepts_pipeline_flags(self):
-        args = build_parser().parse_args(
-            [
-                "plan", "apply", "--plan", "p.json", "--csv", "r.csv",
-                "--chunk-rows", "64", "--pipeline-workers", "3",
-                "--pipeline-prefetch", "2",
-            ]
-        )
-        assert args.pipeline_workers == 3
-        assert args.pipeline_prefetch == 2
-
-    def test_pipelined_output_byte_identical(self, tmp_path, capsys):
-        source, plan_path = self._export(tmp_path)
-        capsys.readouterr()
-        sequential = tmp_path / "sequential.csv"
-        main(
-            [
-                "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                "--out", str(sequential), "--chunk-rows", "7",
-            ]
-        )
-        capsys.readouterr()
-        piped = tmp_path / "piped.csv"
-        assert (
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--out", str(piped), "--chunk-rows", "7",
-                    "--pipeline-workers", "3", "--pipeline-prefetch", "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Pipeline: 3 workers, prefetch 2" in out
-        assert "queue depth" in out
-        assert piped.read_bytes() == sequential.read_bytes()
-
-    def test_workers_require_chunk_rows(self, tmp_path):
-        source, plan_path = self._export(tmp_path)
-        with pytest.raises(SystemExit, match="--pipeline-workers needs --chunk-rows"):
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--pipeline-workers", "2",
-                ]
-            )
-
-    def test_workers_must_be_positive(self, tmp_path):
-        source, plan_path = self._export(tmp_path)
-        with pytest.raises(SystemExit, match="--pipeline-workers must be >= 1"):
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--chunk-rows", "8", "--pipeline-workers", "0",
-                ]
-            )
-
-    def test_prefetch_requires_workers(self, tmp_path):
-        source, plan_path = self._export(tmp_path)
-        with pytest.raises(SystemExit, match="--pipeline-prefetch needs --pipeline-workers"):
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--chunk-rows", "8", "--pipeline-prefetch", "2",
-                ]
-            )
-
-    def test_prefetch_must_be_positive(self, tmp_path):
-        source, plan_path = self._export(tmp_path)
-        with pytest.raises(SystemExit, match="--pipeline-prefetch must be >= 1"):
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--chunk-rows", "8", "--pipeline-workers", "2",
-                    "--pipeline-prefetch", "0",
-                ]
-            )

@@ -59,3 +59,18 @@ def test_plan_apply_loads_only_dataframe_and_serve(tmp_path):
     assert sorted(loaded.intersection(FORBIDDEN)) == []
     layers = {name.split(".")[1] for name in loaded if name.startswith("repro.")}
     assert layers <= {"cli", "dataframe", "serve"}, layers
+
+
+def test_fit_pipeline_import_loads_no_asyncio():
+    """The fit layer's one FM fan-out is a thread pool: importing the
+    search pipeline pulls in no event-loop machinery."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.core.pipeline; print('asyncio' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
