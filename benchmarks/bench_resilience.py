@@ -18,7 +18,8 @@ Three sections:
 
 ``python benchmarks/bench_resilience.py`` writes ``BENCH_resilience.json``
 at the repo root; ``--smoke`` runs smaller row counts with the same
-assertions (the CI gate).
+assertions (the CI gate) and writes ``BENCH_resilience.smoke.json``
+instead, so a smoke run never overwrites the full-mode record.
 """
 
 import argparse
@@ -254,7 +255,8 @@ def main() -> int:
     args = parser.parse_args()
     mode = "smoke" if args.smoke else "full"
     report = run(mode)
-    out = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
+    name = "BENCH_resilience.smoke.json" if args.smoke else "BENCH_resilience.json"
+    out = Path(__file__).resolve().parent.parent / name
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

@@ -400,22 +400,40 @@ def sorted_grouping(
 # Serving replay kernels (plan hot path)
 # ----------------------------------------------------------------------
 def str_lengths(values: np.ndarray) -> np.ndarray | None:
-    """Vectorised ``len()`` per element for an all-string object array.
+    """Vectorised ``len()`` per element for an object array of strings
+    and missing cells (:func:`is_missing_scalar`).
 
-    Returns ``None`` whenever the exact semantics of the element loop
-    (``len(str(v))`` with ``None`` for missing) cannot be reproduced with
-    one C call — missing entries, non-``str`` elements, or embedded NUL
-    bytes (fixed-width encodings pad with NUL, so lengths would misreport).
-    Callers fall back to ``Series.str.len()``.
+    The result is what ``Series.str.len()`` builds: ``int64`` lengths, or
+    ``float64`` with NaN at the missing cells when there are any.
+    Returns ``None`` whenever one C call cannot reproduce that — no
+    string cell at all (list coercion keeps an object array of ``None``
+    there), a cell that is neither a ``str`` nor missing, or a string
+    with an embedded NUL (fixed-width encodings pad with NUL, so lengths
+    would misreport).  Callers fall back to ``Series.str.len()``.
     """
-    if values.dtype != object or not _all_strings(values):
+    if values.dtype != object:
         return None
+    if len(values) and _all_strings(values):
+        return _packed_lengths(values).astype(np.int64)
+    missing = np.array([type(v) is not str for v in values.tolist()], dtype=bool)
+    if missing.all() or not all(map(is_missing_scalar, values[missing])):
+        return None
+    strings = values[~missing]
+    if not _all_strings(strings):
+        return None
+    out = np.full(len(values), np.nan)
+    out[~missing] = _packed_lengths(strings)
+    return out
+
+
+def _packed_lengths(strings: np.ndarray) -> np.ndarray:
+    """Character lengths of an all-string object array (no NUL)."""
     try:
         # ASCII data: byte length == character length, at 1 byte/char.
-        packed = values.astype("S")
+        packed = strings.astype("S")
     except UnicodeEncodeError:
-        packed = values.astype("U")
-    return np.char.str_len(packed).astype(np.int64)
+        packed = strings.astype("U")
+    return np.char.str_len(packed)
 
 
 def iso_date_parts(values: np.ndarray) -> dict[str, np.ndarray] | None:

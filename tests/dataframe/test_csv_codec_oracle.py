@@ -125,6 +125,191 @@ def test_edge_columns(tmp_path, monkeypatch, block_rows):
     assert_codec_matches_reference(frame, tmp_path, chunk=4)
 
 
+# ----------------------------------------------------------------------
+# Encoder edges: lookup tables, distinct-value tables and hand quoting
+# ----------------------------------------------------------------------
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def array_column(values, dtype) -> Series:
+    return Series._from_array(np.array(values, dtype=dtype))
+
+
+def nan_with_payload(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+def assert_bytes_match(frame: DataFrame, base, **kwargs) -> None:
+    new, ref = base / "new.csv", base / "ref.csv"
+    to_csv(frame, new, **kwargs)
+    reference_to_csv(frame, ref, **kwargs)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+@pytest.fixture(params=[1, 2, 3, None], ids=["rows1", "rows2", "rows3", "default"])
+def encode_rows(request, monkeypatch):
+    """Run an encoder case at tiny encode blocks and at the default."""
+    if request.param is not None:
+        monkeypatch.setattr(csv_io, "_ENCODE_ROWS", request.param)
+
+
+NAN = float("nan")
+ENCODER_EDGES = {
+    "signed_zero_low_cardinality": {
+        "z": Series([0.0, -0.0, 0.0, -0.0, 1.5, 0.0, -0.0, NAN]),
+    },
+    "nan_payloads": {
+        "payloads": array_column(
+            [
+                nan_with_payload(0x7FF8000000000001),
+                1.0,
+                nan_with_payload(0xFFF8000000000000),
+                nan_with_payload(0x7FF0000000000001),
+                NAN,
+                1.0,
+            ],
+            np.float64,
+        ),
+        "all_nan": array_column([NAN, nan_with_payload(0xFFF8000000000000)] * 3, np.float64),
+    },
+    "int64_extremes": {
+        "min_small_range": array_column(
+            [INT64_MIN, INT64_MIN + 2, INT64_MIN + 1, INT64_MIN, INT64_MIN + 2, INT64_MIN], np.int64
+        ),
+        "min_and_max": array_column([INT64_MIN, INT64_MAX, 0, INT64_MAX, INT64_MIN, -1], np.int64),
+        "int8": array_column([-128, 127, -128, -127, 0, -128], np.int8),
+    },
+    "uint64_above_int64": {
+        "big": array_column([2**64 - 1, 2**63, 2**64 - 2, 2**64 - 1, 2**63, 2**63 + 1], np.uint64),
+        "small_range": array_column([2**64 - 1, 2**64 - 2, 2**64 - 1] * 2, np.uint64),
+        "uint8": array_column([255, 0, 254, 255, 255, 0], np.uint8),
+    },
+    "float32_and_complex": {
+        "f32": array_column([0.1, NAN, -0.0, 1e30, 0.1, 3.0], np.float32),
+        "f16": array_column([0.1, 65504.0, NAN, -0.0, 0.1, 1.0], np.float16),
+        "c128": array_column(
+            [1 + 2j, complex(NAN, 0), complex(0, NAN), -0.0j, 1 + 2j, 0j], np.complex128
+        ),
+    },
+    "bools": {
+        "b": Series([True, False, True, True, False, True]),
+        "all_true": Series([True] * 6),
+    },
+    "object_cells": {
+        "specials": object_column(
+            ["a,b", 'say "hi"', "cr\rlf", "lf\n", " lead", "trail ", '"', ",", "", None]
+        ),
+        "scalars": object_column(
+            [np.int64(-3), np.float64(-0.0), np.bool_(False), np.float32(0.1), np.str_("s,t"),
+             True, 0.1, NAN, 7, np.float64("nan")]
+        ),
+    },
+    "header_names_need_quoting": {
+        "a,b": Series([1, 2]),
+        'q"uote': Series(["x", "y"]),
+        "line\nbreak": Series([1.5, NAN]),
+        "cr\r": Series([True, False]),
+        " padded ": Series([None, "z"]),
+    },
+    "one_column_empty_cells": {"only": Series(["", "x", None, "", '""'])},
+    "one_float_column_with_nan": {"f": Series([NAN, 1.0, NAN])},
+    "one_empty_named_column": {"": Series([NAN, 2, NAN])},
+    "zero_rows": {
+        "i": array_column([], np.int64),
+        "f": array_column([], np.float64),
+        "o": object_column([]),
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(ENCODER_EDGES))
+def test_encoder_edges(tmp_path, encode_rows, case):
+    assert_bytes_match(DataFrame(ENCODER_EDGES[case]), tmp_path)
+
+
+@pytest.mark.parametrize("case", ["object_cells", "one_column_empty_cells", "int64_extremes"])
+def test_encoder_append_and_header_flags(tmp_path, encode_rows, case):
+    """``append=True`` adds rows under the existing header; ``header=False``
+    and ``header=True`` override the default either way."""
+    frame = DataFrame(ENCODER_EDGES[case])
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    for kwargs in ({}, {"append": True}, {"append": True, "header": True}):
+        to_csv(frame, new, **kwargs)
+        reference_to_csv(frame, ref, **kwargs)
+    assert new.read_bytes() == ref.read_bytes()
+    assert_bytes_match(frame, tmp_path, header=False)
+
+
+def test_to_csv_does_not_use_csv_writer(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.writer called")
+
+    monkeypatch.setattr(csv, "writer", refuse)
+    to_csv(DataFrame(ENCODER_EDGES["object_cells"]), tmp_path / "t.csv")
+
+
+SPECIAL_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\'é0.-')), max_size=6)
+LOW_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.5, -2.25, 1e16, 5e-324, float("inf"), -float("inf"), NAN,
+     nan_with_payload(0xFFF8000000000001), 0.1]
+)
+
+
+def column_strategy(n: int):
+    """A column of *n* cells: ints (narrow and wide ranges, int64 edges),
+    uint64, floats (low and high cardinality, signed zeros, NaN payloads),
+    float32, bools, and object cells (special strings, missing, numpy
+    scalars)."""
+    cells = lambda elements: st.lists(elements, min_size=n, max_size=n)  # noqa: E731
+    ints = st.one_of(
+        st.integers(-3, 3), st.integers(INT64_MIN, INT64_MAX), st.sampled_from([INT64_MIN, INT64_MAX])
+    )
+    floats = st.one_of(LOW_FLOATS, st.floats(width=64))
+    objects = st.one_of(
+        SPECIAL_TEXT,
+        st.none(),
+        st.just(NAN),
+        st.booleans(),
+        LOW_FLOATS,
+        st.integers(-5, 5).map(np.int64),
+        st.floats(width=32).map(np.float32),
+        st.sampled_from(["a", "b,c", 'd"e']).map(np.str_),
+    )
+    return st.one_of(
+        cells(ints).map(lambda v: array_column(v, np.int64)),
+        cells(st.integers(0, 2**64 - 1)).map(lambda v: array_column(v, np.uint64)),
+        cells(st.integers(2**64 - 4, 2**64 - 1)).map(lambda v: array_column(v, np.uint64)),
+        cells(floats).map(lambda v: array_column(v, np.float64)),
+        cells(LOW_FLOATS).map(lambda v: array_column(v, np.float64)),
+        cells(st.floats(width=32)).map(lambda v: array_column(v, np.float32)),
+        cells(st.booleans()).map(lambda v: array_column(v, bool)),
+        cells(objects).map(object_column),
+        cells(st.sampled_from(["", None, "x"])).map(object_column),
+    )
+
+
+@st.composite
+def encoder_frames(draw):
+    n = draw(st.integers(0, 12))
+    names = draw(st.lists(SPECIAL_TEXT, min_size=1, max_size=4, unique=True))
+    return DataFrame({name: draw(column_strategy(n)) for name in names})
+
+
+@settings(max_examples=150, deadline=None)
+@given(encoder_frames(), st.integers(1, 5))
+def test_encoder_matches_reference_property(tmp_path_factory, frame, encode_rows):
+    """Any frame encodes to the reference writer's bytes at any encode
+    block size: the lookup and distinct-value tables render exactly the
+    cells ``csv.writer`` writes."""
+    base = tmp_path_factory.mktemp("enc")
+    saved = csv_io._ENCODE_ROWS
+    csv_io._ENCODE_ROWS = encode_rows
+    try:
+        assert_bytes_match(frame, base)
+    finally:
+        csv_io._ENCODE_ROWS = saved
+
+
 def test_negative_zero_int_cell_widens_to_positive_zero(tmp_path):
     """``"-0"`` is the int 0, so a float column holding it reads +0.0
     (writes back as ``0.0``), while ``"-0.0"`` stays -0.0."""

@@ -12,6 +12,7 @@ from repro.dataframe.expr import (
     is_frozen,
     validate_expr,
 )
+from repro.dataframe.kernels import str_lengths
 from repro.dataframe.series import Series
 from repro.serve.compiler import series_identical
 
@@ -124,6 +125,35 @@ class TestStringKernels:
 
     def test_str_len_non_ascii_and_missing(self):
         frame = DataFrame({"t": Series(["héllo", None, "ab"])})
+        out = evaluate_feature({"op": "str_len", "column": "t"}, frame)
+        assert series_identical(out, frame["t"].str.len())
+
+    @staticmethod
+    def object_frame(values):
+        cells = np.empty(len(values), dtype=object)
+        cells[:] = values
+        return DataFrame({"t": Series._from_array(cells, "t")})
+
+    def test_str_len_nan_missing_uses_kernel(self):
+        frame = self.object_frame(["ab", float("nan"), np.float64("nan"), None, "héllo", ""])
+        assert str_lengths(frame["t"].values) is not None
+        out = evaluate_feature({"op": "str_len", "column": "t"}, frame)
+        assert out.values.dtype == np.float64
+        assert series_identical(out, frame["t"].str.len())
+
+    @pytest.mark.parametrize("values", [[None, float("nan"), np.float32("nan")], []])
+    def test_str_len_all_missing_falls_back(self, values):
+        frame = self.object_frame(values)
+        assert str_lengths(frame["t"].values) is None
+        out = evaluate_feature({"op": "str_len", "column": "t"}, frame)
+        assert series_identical(out, frame["t"].str.len())
+
+    @pytest.mark.parametrize(
+        "values", [["ab", 3, None], ["ab", 2.5, "c"], ["a\x00b", None], ["ab", np.str_("cd")]]
+    )
+    def test_str_len_mixed_non_str_falls_back(self, values):
+        frame = self.object_frame(values)
+        assert str_lengths(frame["t"].values) is None
         out = evaluate_feature({"op": "str_len", "column": "t"}, frame)
         assert series_identical(out, frame["t"].str.len())
 
