@@ -18,9 +18,10 @@ Each compared op runs both the retained loop reference and the vectorized
 path, asserts the outputs match (exact dtypes and missingness; float
 accumulations within a few ulp — summation order differs), and records
 the speedup.  ``python benchmarks/bench_dataplane.py`` runs standalone
-and writes ``BENCH_dataplane.json`` at the repo root;  ``--smoke`` runs a
+and writes ``BENCH_dataplane.json`` at the repo root, with the machine it
+ran on (cores, RAM, Python/numpy versions, git sha);  ``--smoke`` runs a
 small row count and only the equivalence assertions (the CI regression
-gate).
+gate) and writes nothing.
 """
 
 import argparse
@@ -163,9 +164,15 @@ COMPARED_OPS = {
 
 
 def run(row_counts=ROW_COUNTS, fit_transform_rows=(10_000, 100_000), seed: int = 0) -> dict:
-    from conftest import peak_rss_mb
+    from conftest import machine, peak_rss_mb
 
-    payload: dict = {"row_counts": list(row_counts), "ops": {}, "fit_transform": {}}
+    payload: dict = {
+        "mode": "full",
+        "machine": machine(),
+        "row_counts": list(row_counts),
+        "ops": {},
+        "fit_transform": {},
+    }
     for n_rows in row_counts:
         frame = make_synthetic_frame(n_rows, seed=seed)
         for op, bench in COMPARED_OPS.items():

@@ -10,10 +10,14 @@ and a modelled full-scale time budget of 600 s (the simulator-scale
 equivalent of the paper's one-hour limit — see EXPERIMENTS.md).
 """
 
+import os
+import platform
 import resource
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.eval import SweepConfig, run_sweep
@@ -33,6 +37,34 @@ def peak_rss_mb() -> float:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     scale = 1 if sys.platform == "darwin" else 1024
     return peak * scale / 1e6
+
+
+def machine() -> dict:
+    """The machine and code a benchmark record was measured on.
+
+    ``git_sha`` is the checked-out commit; ``git_dirty`` says whether the
+    tree had uncommitted changes to tracked files when the record was taken.
+    """
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*args: str) -> str:
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=root, capture_output=True, text=True, check=True
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return ""
+
+    sha = git("rev-parse", "HEAD")
+    return {
+        "cores": os.cpu_count(),
+        "ram_mb": round(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 2**20),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "git_sha": sha or "unknown",
+        "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")) if sha else None,
+    }
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,20 @@ drive which operators the simulated FM proposes and with what parameters
 The lexicon deliberately works better with descriptions than with bare
 abbreviated names — reproducing the paper's "Impact of Feature
 Descriptions" finding that opaque names like ``FSW.1`` degrade output.
+
+The simulator re-parses the data agenda from every prompt, so the same
+column's role is asked for once per FM call.  :func:`infer_role` and
+:func:`stat_polarity` are pure functions of the text a prompt carries
+(name, description, kind), so both are memoized in a bounded LRU cache
+(:data:`_ROLE_CACHE_SIZE` entries; thread-safe under the FM fan-out),
+and the keyword needles are normalised once at import.  Results are
+exactly those of the plain per-call scan.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 
 __all__ = ["ColumnRole", "infer_role", "tokenize_identifier"]
@@ -69,6 +78,23 @@ _ROLE_KEYWORDS: list[tuple[ColumnRole, tuple[str, ...]]] = [
     (ColumnRole.BINARY, ("flag", "is ", "has ", "binary", "yes/no", "boolean", "default", "subscribed", "married")),
 ]
 
+# Per role: the needles searched for inside a space-padded haystack (a
+# keyword without an edge space gains a leading one, so it must start a
+# token) and the stripped keywords the bare haystack may start with (a
+# prefix, not a token: "age" also claims a name starting "agency").
+_ROLE_NEEDLES: tuple[tuple[ColumnRole, tuple[str, ...], tuple[str, ...]], ...] = tuple(
+    (
+        role,
+        tuple(k if k.startswith(" ") or k.endswith(" ") else f" {k}" for k in keywords),
+        tuple(k.strip() for k in keywords),
+    )
+    for role, keywords in _ROLE_KEYWORDS
+)
+
+#: Entries kept by each memoized lexicon function: the nine eval datasets
+#: ask for about 400 distinct columns in a fit.
+_ROLE_CACHE_SIZE = 4096
+
 
 def tokenize_identifier(name: str) -> list[str]:
     """Split an identifier into lowercase word tokens.
@@ -89,6 +115,7 @@ _NEGATIVE_STAT_WORDS = frozenset(
 )
 
 
+@functools.lru_cache(maxsize=_ROLE_CACHE_SIZE)
 def stat_polarity(name: str, description: str = "") -> int:
     """+1 for "good" stats (winners, aces), -1 for "bad" ones (errors,
     faults), 0 otherwise.
@@ -107,6 +134,7 @@ def stat_polarity(name: str, description: str = "") -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=_ROLE_CACHE_SIZE)
 def infer_role(name: str, description: str = "", dtype: str = "") -> ColumnRole:
     """Infer the semantic role of a column from name + description + dtype.
 
@@ -114,16 +142,15 @@ def infer_role(name: str, description: str = "", dtype: str = "") -> ColumnRole:
     bare cryptic name often yields :attr:`ColumnRole.UNKNOWN` — which is
     what degrades SMARTFEAT's output in the names-only ablation.
     """
+    texts = [description, name] if description else [name]
     haystacks = []
-    if description:
-        haystacks.append(" " + " ".join(tokenize_identifier(description)) + " ")
-    haystacks.append(" " + " ".join(tokenize_identifier(name)) + " ")
-    for role, keywords in _ROLE_KEYWORDS:
-        for haystack in haystacks:
-            for keyword in keywords:
-                needle = keyword if keyword.startswith(" ") or keyword.endswith(" ") else f" {keyword}"
-                if needle in haystack or haystack.strip().startswith(keyword.strip()):
-                    return role
+    for text in texts:
+        haystack = " " + " ".join(tokenize_identifier(text)) + " "
+        haystacks.append((haystack, haystack.strip()))
+    for role, needles, prefixes in _ROLE_NEEDLES:
+        for haystack, bare in haystacks:
+            if bare.startswith(prefixes) or any(needle in haystack for needle in needles):
+                return role
     if dtype == "categorical":
         return ColumnRole.CATEGORY
     return ColumnRole.UNKNOWN

@@ -62,6 +62,46 @@ class TestConstruction:
         assert s.name == "sevens"
 
 
+def _unboxed(values: np.ndarray) -> list:
+    """The element-wise unboxing ``Series.tolist`` used for every dtype."""
+    return [v.item() if isinstance(v, np.generic) else v for v in values]
+
+
+_TOLIST_ARRAYS = {
+    "int64": np.array([3, -1, 2**40], dtype=np.int64),
+    "uint8": np.array([0, 7, 255], dtype=np.uint8),
+    "bool": np.array([True, False, True]),
+    "float16": np.array([1.5, np.nan, -0.0, np.nan], dtype=np.float16),
+    "float32": np.array([0.1, np.nan, np.inf, np.nan], dtype=np.float32),
+    "float64": np.array([0.1, np.nan, -0.0, np.nan, 1e300], dtype=np.float64),
+    "complex128": np.array([1 + 2j, complex(np.nan, 0), 0j]),
+    "datetime64[ns]": np.array(["2020-01-02T03:04:05.123456789", "NaT"], dtype="datetime64[ns]"),
+    "datetime64[s]": np.array(["2020-01-02T03:04:05", "NaT"], dtype="datetime64[s]"),
+    "datetime64[D]": np.array(["2020-01-02", "NaT", "1999-12-31"], dtype="datetime64[D]"),
+    "timedelta64": np.array([5, -3, "NaT"], dtype="timedelta64[s]"),
+    "unicode": np.array(["a", "bc", ""]),
+    "object-numpy-scalars": np.array(
+        [np.int64(4), np.float64(np.nan), np.str_("x"), None, "y", np.bool_(True)],
+        dtype=object,
+    ),
+}
+
+
+class TestToList:
+    @pytest.mark.parametrize("kind", sorted(_TOLIST_ARRAYS))
+    def test_matches_element_unboxing(self, kind):
+        values = _TOLIST_ARRAYS[kind]
+        got = Series._from_array(values).tolist()
+        want = _unboxed(values)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b or (a != a and b != b) or (a is None and b is None)
+        # NaN markers stay identity-distinct, so set sizes (nunique with
+        # dropna=False) are unchanged.
+        assert len(set(got)) == len(set(want))
+
+
 class TestIndexing:
     def test_scalar_get_unboxes_numpy(self):
         s = Series([1, 2, 3])

@@ -1,13 +1,37 @@
 """Property-based tests for FM substrate invariants."""
 
+import sys
+import threading
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lexicon_reference import reference_infer_role, reference_stat_polarity
 
+from repro.core import DataAgenda
+from repro.eval.serving import ALL_DATASETS, _load_bundle
 from repro.fm import CostModel, KnowledgeStore, estimate_tokens
-from repro.fm.lexicon import infer_role, stat_polarity, tokenize_identifier
+from repro.fm.lexicon import (
+    _NEGATIVE_STAT_WORDS,
+    _POSITIVE_STAT_WORDS,
+    _ROLE_KEYWORDS,
+    infer_role,
+    stat_polarity,
+    tokenize_identifier,
+)
 
 texts = st.text(min_size=0, max_size=300)
 identifiers = st.from_regex(r"[A-Za-z][A-Za-z0-9_. ]{0,30}", fullmatch=True)
+# Phrases built from the lexicon's own vocabulary (plus near-misses such
+# as "agency" and separators), so keywords of several roles meet in one
+# name or description and the scan order decides the role.
+_LEXICON_WORDS = sorted(
+    {keyword for _, keywords in _ROLE_KEYWORDS for keyword in keywords}
+    | _POSITIVE_STAT_WORDS
+    | _NEGATIVE_STAT_WORDS
+    | {"agency", "carrier", "of", "total", "FSW.1", "x", "_", ".", "ID"}
+)
+lexicon_phrases = st.lists(st.sampled_from(_LEXICON_WORDS), max_size=4).map(" ".join)
 
 
 @given(texts)
@@ -48,6 +72,75 @@ def test_infer_role_total(name, description):
 @given(identifiers, texts)
 def test_polarity_in_range(name, description):
     assert stat_polarity(name, description) in (-1, 0, 1)
+
+
+@given(
+    st.one_of(identifiers, lexicon_phrases),
+    st.one_of(texts, lexicon_phrases),
+    st.sampled_from(["", "numeric", "categorical", "binary"]),
+)
+def test_memoized_lexicon_matches_reference_scan(name, description, kind):
+    assert infer_role(name, description, kind) is reference_infer_role(name, description, kind)
+    assert infer_role(name) is reference_infer_role(name)
+    assert stat_polarity(name, description) == reference_stat_polarity(name, description)
+
+
+@pytest.mark.parametrize("dataset", ALL_DATASETS)
+def test_lexicon_matches_reference_on_data_cards(dataset):
+    bundle = _load_bundle(dataset, 50, 0)
+    agenda = DataAgenda.from_dataframe(
+        bundle["frame"], bundle["target"], descriptions=bundle["descriptions"]
+    )
+    assert agenda.entries
+    for entry in agenda.entries.values():
+        # With the data card, and names only (the descriptions ablation).
+        for description in (entry.description, ""):
+            assert infer_role(entry.name, description, entry.kind) is reference_infer_role(
+                entry.name, description, entry.kind
+            )
+            assert stat_polarity(entry.name, description) == reference_stat_polarity(
+                entry.name, description
+            )
+
+
+def test_lexicon_caches_are_bounded():
+    for memoized in (infer_role, stat_polarity):
+        maxsize = memoized.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+
+def test_infer_role_is_consistent_across_threads():
+    inputs = [
+        ("Age of car", "Age of the insured car in years", "numeric"),
+        ("FSW.1", "First serve percentage for player 1", "numeric"),
+        ("City", "City of residence", "categorical"),
+        ("xyz_q", "", "categorical"),
+    ]
+    infer_role.cache_clear()
+    barrier = threading.Barrier(8)
+    results: list[list] = [[] for _ in range(8)]
+
+    def worker(slot: int) -> None:
+        barrier.wait(timeout=30)
+        for _ in range(50):
+            results[slot].append([infer_role(*args) for args in inputs])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = [reference_infer_role(*args) for args in inputs]
+    for per_thread in results:
+        assert len(per_thread) == 50
+        for roles in per_thread:
+            assert all(got is want for got, want in zip(roles, expected))
 
 
 @settings(max_examples=50)
